@@ -35,6 +35,14 @@ class LsProblem:
     label: str = ""
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        m, n = self.A.shape
+        self.b = _checked_vector(self.b, "b", m)
+        if self.x_star is not None:
+            self.x_star = _checked_vector(self.x_star, "x_star", n)
+        if self.r is not None:
+            self.r = _checked_vector(self.r, "r", m)
+
     @property
     def shape(self):
         return self.A.shape
@@ -51,6 +59,16 @@ class LsProblem:
         r_norm = np.linalg.norm(self.r)
         if r_norm > 0 and np.linalg.norm(self.A.rmatvec(self.r)) > 1e-8 * frob * r_norm:
             raise ValueError("r is not orthogonal to range(A) beyond tolerance")
+
+
+def _checked_vector(values, name, size):
+    """values as a 1-D float array of the given size with finite entries."""
+    vec = np.asarray(values, dtype=np.float64)
+    if vec.ndim != 1 or vec.size != size:
+        raise ValueError(f"{name} has shape {vec.shape}, expected ({size},) to match A")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{name} has non-finite entries")
+    return vec
 
 
 @dataclass(frozen=True)

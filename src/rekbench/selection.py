@@ -95,6 +95,18 @@ def build_index_set(s, epsilon, cache):
     return np.flatnonzero(mask)
 
 
+def _draw(index_set, p, rng):
+    """One draw from index_set with probabilities p.
+
+    The same algorithm and the same single rng.random() call as
+    rng.choice(index_set, p=p), so the draws are identical, without its
+    argument checks.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(index_set[cdf.searchsorted(rng.random(), side="right")])
+
+
 def weighted_pick(s, index_set, rng):
     """Draw from index_set with probability proportional to residual_sq."""
     index_set = np.asarray(index_set)
@@ -102,7 +114,7 @@ def weighted_pick(s, index_set, rng):
     total = w.sum()
     if total <= 0.0:
         raise AlreadyConverged("all selection weights are zero")
-    return int(rng.choice(index_set, p=w / total))
+    return _draw(index_set, w / total, rng)
 
 
 def weighted_pick_norms(cache, index_set, axis, rng):
@@ -113,7 +125,7 @@ def weighted_pick_norms(cache, index_set, axis, rng):
     total = w.sum()
     if total <= 0.0:
         raise AlreadyConverged("all norms in the selection set are zero")
-    return int(rng.choice(index_set, p=w / total))
+    return _draw(index_set, w / total, rng)
 
 
 def simple_random_sample(population, fraction, rng):

@@ -6,8 +6,11 @@ start of the step (the column update uses the pre-step z, and the row
 update right-hand side b_i - z_i uses the pre-step z as well).
 
 The shifted residual b - z - Ax and the dual residual A^T z are maintained
-incrementally with rank-1/rank-2 corrections after each update, and
-recomputed fresh at every convergence check to flush drift.
+incrementally and recomputed fresh at every convergence check to flush
+drift.  Each row or column step changes x by dx (or z by dz) and updates
+the other axis's residual once: from two rows of the cached Gram matrix
+when that axis is the shorter one of a dense A, else with one product
+A @ dx or A^T @ dz.
 """
 
 from __future__ import annotations
@@ -76,15 +79,33 @@ class ProblemCaches:
     norms: object
     nonzero_rows: np.ndarray
     nonzero_cols: np.ndarray
+    row_gram: np.ndarray | None = None  # A A^T, updates r after a row step
+    col_gram: np.ndarray | None = None  # A^T A, updates g after a column step
 
 
-def build_caches(A) -> ProblemCaches:
+def build_caches(A, kind=None) -> ProblemCaches:
+    """Norms of A, plus for a dense A the Gram matrix of its shorter axis.
+
+    The Gram matrix is built only when kind maintains that axis's residual
+    (r for the row axis, g for the column axis), so it costs at most one
+    more copy of A.  The longer axis always uses one product per step.
+    """
     norms = build_norm_cache(A)
-    return ProblemCaches(
+    caches = ProblemCaches(
         norms=norms,
         nonzero_rows=np.flatnonzero(norms.row_sq_norms > 0),
         nonzero_cols=np.flatnonzero(norms.col_sq_norms > 0),
     )
+    if kind is None or A.is_sparse:
+        return caches
+    kind = SolverKind(kind)
+    values = A.values
+    if A.cols <= A.rows:
+        if kind not in CONSISTENT_KINDS:
+            caches.col_gram = values.T @ values
+    elif kind not in PROJECTION_KINDS:
+        caches.row_gram = values @ values.T
+    return caches
 
 
 @dataclass
@@ -243,68 +264,90 @@ def _select(kind, axis, state, caches, config):
 # Update application with incremental residual maintenance
 
 
-def _apply_row(state, A, norms, i1, i2):
-    """Row update at (i1, i2) using the maintained shifted residual."""
+def _combination(add_scaled, size, idx, coeffs):
+    """delta = sum_k coeffs[k] * (row or column idx[k] of A), as a dense vector."""
+    delta = np.zeros(size)
+    for i, c in zip(idx, coeffs):
+        add_scaled(delta, i, c)
+    return delta
+
+
+def _residual_change(gram, product, delta, idx, coeffs):
+    """product(delta), where product is A @ or A^T @ and delta a _combination.
+
+    Read from the cached Gram rows of the chosen lines when there is a
+    Gram matrix for this axis, else computed as one product.
+    """
+    if gram is None:
+        return product(delta)
+    out = coeffs[0] * gram[idx[0]]
+    if len(idx) == 2:
+        out += coeffs[1] * gram[idx[1]]
+    return out
+
+
+def _row_step(state, A, caches, i1, i2):
+    """Row update at (i1, i2), or at i1 alone, using the maintained residual."""
+    norms = caches.norms
     r1 = float(state.r[i1])
+    idx = None
     if i2 is not None and i2 != i1:
         try:
             co = two_dim_row_coeffs(A, norms, i1, i2, r1, float(state.r[i2]))
         except ParallelPairError:
-            i2 = None
+            pass
         else:
-            A.add_scaled_row(state.x, i1, co.gamma)
-            A.add_scaled_row(state.x, i2, co.lam)
-            state.r -= co.gamma * A.mat_row(i1) + co.lam * A.mat_row(i2)
+            idx, coeffs = (i1, i2), (co.gamma, co.lam)
+    if idx is None:
+        c = r1 / norms.row_sq_norms[i1]
+        if c == 0.0:
             return
-    c = r1 / norms.row_sq_norms[i1]
-    if c != 0.0:
-        A.add_scaled_row(state.x, i1, c)
-        state.r -= c * A.mat_row(i1)
+        idx, coeffs = (i1,), (c,)
+    dx = _combination(A.add_scaled_row, A.cols, idx, coeffs)
+    state.x += dx
+    state.r -= _residual_change(caches.row_gram, A.matvec, dx, idx, coeffs)
 
 
-def _apply_col(state, A, norms, j1, j2):
-    """Column update at (j1, j2) using the maintained dual residual."""
+def _col_step(state, A, caches, j1, j2):
+    """Column update at (j1, j2), or at j1 alone, using the maintained dual residual."""
+    norms = caches.norms
     g1 = float(state.g[j1])
+    idx = None
     if j2 is not None and j2 != j1:
         n1_sq = norms.col_sq_norms[j1]
         n2_sq = norms.col_sq_norms[j2]
         dot = A.col_pair_dot(j1, j2)
         geo = pair_geometry_from(dot, n1_sq, n2_sq)
-        if geo.parallel:
-            j2 = None
-        else:
+        if not geo.parallel:
             g2 = float(state.g[j2])
             gamma = (dot * g2 - n2_sq * g1) / geo.denom
             lam = (dot * g1 - n1_sq * g2) / geo.denom
-            dz = gamma * A.col_vec(j1) + lam * A.col_vec(j2)
-            state.z += dz
-            if state.r is not None:
-                state.r -= dz
-            state.g += gamma * A.mat_t_col(j1) + lam * A.mat_t_col(j2)
+            idx, coeffs = (j1, j2), (gamma, lam)
+    if idx is None:
+        c = -g1 / norms.col_sq_norms[j1]
+        if c == 0.0:
             return
-    c = -g1 / norms.col_sq_norms[j1]
-    if c != 0.0:
-        dz = c * A.col_vec(j1)
-        state.z += dz
-        if state.r is not None:
-            state.r -= dz
-        state.g += c * A.mat_t_col(j1)
+        idx, coeffs = (j1,), (c,)
+    dz = _combination(A.add_scaled_col, A.rows, idx, coeffs)
+    state.z += dz
+    if state.r is not None:
+        state.r -= dz
+    state.g += _residual_change(caches.col_gram, A.rmatvec, dz, idx, coeffs)
 
 
 def step(kind, state, problem, caches, config):
     """Advance the state by exactly one iteration of the named method."""
     kind = SolverKind(kind)
     A = problem.A
-    norms = caches.norms
     rows = cols = None
     if kind not in PROJECTION_KINDS:
         rows = _select(kind, "row", state, caches, config)
     if kind not in CONSISTENT_KINDS:
         cols = _select(kind, "column", state, caches, config)
     if rows is not None:
-        _apply_row(state, A, norms, *rows)
+        _row_step(state, A, caches, *rows)
     if cols is not None:
-        _apply_col(state, A, norms, *cols)
+        _col_step(state, A, caches, *cols)
     state.k += 1
     return state
 
@@ -326,7 +369,15 @@ def converged(state, problem, caches, config):
         return float(np.linalg.norm(A.rmatvec(state.z))) <= tol * frob_sq * z_norm
     x_norm = float(np.linalg.norm(state.x))
     if x_norm == 0.0:
-        return False
+        # The bounds below scale with ||A||_F ||x||, which vanishes here;
+        # ||b|| takes its place, as both measure vectors the size of A x.
+        # So b orthogonal to range(A) (x_star = 0) stops at x = 0, z = b.
+        b_norm = float(np.linalg.norm(b))
+        if state.kind in CONSISTENT_KINDS:
+            return b_norm <= tol * b_norm
+        primary = float(np.linalg.norm(b - state.z))
+        dual = float(np.linalg.norm(A.rmatvec(state.z)))
+        return primary <= tol * b_norm and dual <= tol * frob * b_norm
     if state.kind in CONSISTENT_KINDS:
         return float(np.linalg.norm(b - A.matvec(state.x))) <= tol * frob * x_norm
     primary = float(np.linalg.norm(b - state.z - A.matvec(state.x)))
@@ -360,7 +411,7 @@ def solve(kind, problem, config=None, seed=0):
     kind = SolverKind(kind)
     config = config or StopConfig()
     m, n = problem.A.shape
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, kind)
     check_every = config.check_every or min(m, n)
     max_iters = config.max_iters if config.max_iters is not None else 200 * min(m, n)
     state = SolverState.initial(kind, problem, seed)

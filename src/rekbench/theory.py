@@ -216,7 +216,7 @@ def empirical_contraction(kind, problem, trials, steps, seed=0, fraction=0.01):
     """
     kind = SolverKind(kind)
     config = StopConfig(fraction=fraction)
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, kind)
     if kind in CONSISTENT_KINDS:
         if problem.x_star is None:
             raise ValueError("consistent-method contraction needs x_star")

@@ -88,10 +88,10 @@ def two_dim_row_coeffs(A, cache, i1, i2, r1, r2):
     """Closed-form (gamma, lambda) zeroing the residuals at rows i1, i2."""
     n1_sq = cache.row_sq_norms[i1]
     n2_sq = cache.row_sq_norms[i2]
-    geo = pair_geometry_from(A.row_pair_dot(i1, i2), n1_sq, n2_sq)
+    dot = A.row_pair_dot(i1, i2)
+    geo = pair_geometry_from(dot, n1_sq, n2_sq)
     if geo.parallel:
         raise ParallelPairError(f"rows {i1}, {i2} are parallel")
-    dot = A.row_pair_dot(i1, i2)
     gamma = (n2_sq * r1 - dot * r2) / geo.denom
     lam = (n1_sq * r2 - dot * r1) / geo.denom
     return TwoDimCoeffs(float(gamma), float(lam))

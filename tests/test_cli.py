@@ -91,6 +91,28 @@ def test_solve_missing_problem_io_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_solve_bundle_with_extra_b_line_io_error(capsys, tmp_path):
+    path = gen_bundle(capsys, tmp_path)
+    with open(tmp_path / "prob" / "b.txt", "a", encoding="ascii") as fh:
+        fh.write("1.5\n")
+    code, out, err = run(capsys, "solve", "--method", "GREK", "--problem", path)
+    assert code == 2
+    assert out == ""
+    assert "b has shape (41,)" in err
+
+
+def test_solve_bundle_with_nan_b_io_error(capsys, tmp_path):
+    path = gen_bundle(capsys, tmp_path)
+    b_txt = tmp_path / "prob" / "b.txt"
+    lines = b_txt.read_text().splitlines()
+    lines[5] = "nan"
+    b_txt.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "solve", "--method", "GREK", "--problem", path)
+    assert code == 2
+    assert out == ""
+    assert "b has non-finite entries" in err
+
+
 def test_solve_strict_non_convergence(capsys, tmp_path):
     path = gen_bundle(capsys, tmp_path)
     code, out, _ = run(

@@ -3,6 +3,7 @@ import pytest
 
 from rekbench.linalg import DenseMatrix, build_norm_cache
 from rekbench.problems import (
+    LsProblem,
     gen_gaussian,
     gen_parallel_beam,
     load_problem,
@@ -177,3 +178,35 @@ def test_bundle_round_trip(tmp_path):
     assert np.array_equal(q.r, p.r)
     assert np.allclose(q.A.to_dense(), p.A.to_dense())
     q.validate()
+
+
+def test_bundle_with_extra_b_line_rejected(tmp_path):
+    p = make_inconsistent_problem(gen_gaussian(12, 5, 2), 2)
+    save_problem(p, tmp_path / "bundle")
+    with open(tmp_path / "bundle" / "b.txt", "a", encoding="ascii") as fh:
+        fh.write("1.5\n")
+    with pytest.raises(ValueError, match="b has shape"):
+        load_problem(tmp_path / "bundle")
+
+
+def test_nan_in_b_rejected():
+    b = np.ones(6)
+    b[3] = np.nan
+    with pytest.raises(ValueError, match="b has non-finite"):
+        LsProblem(A=gen_gaussian(6, 4, 0), b=b)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("b", np.ones((6, 1))),
+        ("b", np.ones(5)),
+        ("x_star", np.ones(6)),
+        ("x_star", np.array([1.0, np.inf, 0.0, 0.0])),
+        ("r", np.ones(4)),
+    ],
+)
+def test_problem_vectors_checked(field, value):
+    fields = {"A": gen_gaussian(6, 4, 0), "b": np.ones(6), field: value}
+    with pytest.raises(ValueError, match=field):
+        LsProblem(**fields)

@@ -170,6 +170,29 @@ def test_weighted_pick_norms_skips_zero_norm():
     assert all(weighted_pick_norms(cache, [0, 1], "row", g) == 1 for _ in range(50))
 
 
+def test_weighted_picks_draw_as_rng_choice():
+    # The picks sample a CDF by hand; they must draw exactly what
+    # rng.choice(index_set, p=w / w.sum()) draws from the same stream.
+    g = rng(11)
+    for seed in range(300):
+        size = int(g.integers(1, 40))
+        index_set = np.sort(g.choice(100, size=size, replace=False))
+        w = np.zeros(100)
+        w[index_set] = g.random(size) ** 3
+        w[index_set[g.random(size) < 0.2]] = 0.0
+        w[index_set[0]] += 1e-3  # keep the total positive
+        s = scores_from_residual(np.sqrt(w), np.ones(100), "row")
+        cache = build_norm_cache(DenseMatrix(np.diag(np.sqrt(w))))
+        p = w[index_set] / w[index_set].sum()
+        for pick in (
+            lambda gen: weighted_pick(s, index_set, gen),
+            lambda gen: weighted_pick_norms(cache, index_set, "row", gen),
+        ):
+            mine, ref = rng(seed), rng(seed)
+            for _ in range(5):
+                assert pick(mine) == int(ref.choice(index_set, p=p))
+
+
 def test_simple_random_sample_full():
     sample = simple_random_sample(7, 1.0, rng())
     assert sample.indices.tolist() == list(range(7))

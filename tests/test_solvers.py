@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rekbench.linalg import DenseMatrix, build_norm_cache, direct_least_squares
+from rekbench.linalg import DenseMatrix, DualSparseMatrix, build_norm_cache, direct_least_squares
 from rekbench.problems import LsProblem, gen_gaussian, make_inconsistent_problem, range_split
 from rekbench.solvers import (
     CONSISTENT_KINDS,
@@ -72,11 +72,29 @@ def test_converged_at_exact_solution():
     assert converged(state, problem, caches, StopConfig(tol=1e-8))
 
 
-def test_converged_guard_at_zero_x():
+def test_converged_at_zero_x_scales_by_b():
     problem = make_inconsistent_problem(gen_gaussian(12, 5, 4), 4)
     caches = build_caches(problem.A)
     state = SolverState.initial(SolverKind.REK, problem, seed=0)
-    assert not converged(state, problem, caches, StopConfig(tol=1e9))
+    # x = 0, z = b: the primary residual is 0 and the dual one is |A^T b|.
+    b_norm = np.linalg.norm(problem.b)
+    dual = np.linalg.norm(problem.A.rmatvec(problem.b))
+    frob = np.sqrt(caches.norms.frob_sq)
+    for tol in (1e-5, 0.5 * dual / (frob * b_norm), 2.0 * dual / (frob * b_norm), 1e9):
+        expect = dual <= tol * frob * b_norm
+        assert converged(state, problem, caches, StopConfig(tol=tol)) == expect
+    assert not converged(state, problem, caches, StopConfig(tol=1e-5))
+
+
+def test_grek_stops_at_zero_solution():
+    # b is orthogonal to range(A), so x_star = 0 and z = b from the start.
+    A = DenseMatrix(np.vstack([np.eye(3), np.zeros((2, 3))]))
+    problem = LsProblem(A=A, b=np.array([0.0, 0.0, 0.0, 1.0, 2.0]))
+    rec = solve(SolverKind.GREK, problem, StopConfig(), seed=0)
+    assert rec.converged
+    assert rec.iters == 3  # the first check, at min(m, n) steps
+    assert rec.final_primary_residual == 0.0
+    assert rec.final_dual_residual == 0.0
 
 
 def test_converged_matches_hand_formula():
@@ -129,7 +147,7 @@ def test_solve_max_iters_zero():
     problem = make_inconsistent_problem(gen_gaussian(10, 4, 9), 9)
     rec = solve(SolverKind.GREK, problem, StopConfig(max_iters=0), seed=0)
     assert rec.iters == 0
-    assert not rec.converged  # x = 0 guard
+    assert not rec.converged  # x = 0, z = b, and A^T b is not small
 
 
 def test_solve_records_history():
@@ -212,9 +230,61 @@ def test_incremental_residuals_match_fresh():
     assert np.linalg.norm(state.g - fresh_g) <= 1e-9 * scale * np.sqrt(caches.norms.frob_sq)
 
 
-def test_sparse_and_dense_agree_for_srek():
-    from rekbench.linalg import DualSparseMatrix
+def _upkeep_matrix(shape):
+    g = np.random.Generator(np.random.Philox(17))
+    if shape == "tall":
+        return DenseMatrix(g.standard_normal((40, 12)))
+    if shape == "wide":
+        return DenseMatrix(g.standard_normal((12, 40)))
+    vals = np.where(g.random((40, 20)) < 0.3, g.standard_normal((40, 20)), 0.0)
+    i, j = np.nonzero(vals)
+    return DualSparseMatrix(40, 20, i, j, vals[i, j])
 
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "sparse"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_maintained_residuals_match_fresh(kind, shape):
+    A = _upkeep_matrix(shape)
+    problem = make_inconsistent_problem(A, 18)
+    caches = build_caches(A, kind)
+    state = SolverState.initial(kind, problem, seed=5)
+    for _ in range(200):
+        step(kind, state, problem, caches, StopConfig(fraction=0.25))
+    x_norm = 0.0 if state.x is None else np.linalg.norm(state.x)
+    bound = 4 * np.finfo(float).eps * caches.norms.frob_sq * (x_norm + np.linalg.norm(problem.b))
+    if state.r is not None:
+        fresh_r = problem.b - A.matvec(state.x)
+        if state.z is not None:
+            fresh_r -= state.z
+        assert np.linalg.norm(state.r - fresh_r) <= bound
+    if state.g is not None:
+        assert np.linalg.norm(state.g - A.rmatvec(state.z)) <= bound
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "sparse"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_gram_only_for_a_maintained_short_axis(kind, shape):
+    A = _upkeep_matrix(shape)
+    caches = build_caches(A, kind)
+    keeps_r = kind not in PROJECTION_KINDS
+    keeps_g = kind not in CONSISTENT_KINDS
+    if shape == "tall":
+        assert caches.row_gram is None
+        assert (caches.col_gram is not None) == keeps_g
+        if keeps_g:
+            assert np.allclose(caches.col_gram, A.values.T @ A.values)
+    elif shape == "wide":
+        assert caches.col_gram is None
+        assert (caches.row_gram is not None) == keeps_r
+        if keeps_r:
+            assert np.allclose(caches.row_gram, A.values @ A.values.T)
+    else:
+        assert caches.row_gram is None and caches.col_gram is None
+    plain = build_caches(A)
+    assert plain.row_gram is None and plain.col_gram is None
+
+
+def test_sparse_and_dense_agree_for_srek():
     g = np.random.Generator(np.random.Philox(16))
     dense_vals = np.where(g.random((12, 6)) < 0.5, g.standard_normal((12, 6)), 0.0)
     dense_vals[0, 0] = 1.0  # keep at least one entry

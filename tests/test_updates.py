@@ -117,6 +117,19 @@ def test_row_coeffs_cramer_oracle():
     assert co.lam == pytest.approx(lam, rel=1e-12)
 
 
+def test_row_coeffs_one_pair_dot():
+    calls = []
+
+    class Counting(DenseMatrix):
+        def row_pair_dot(self, i1, i2):
+            calls.append((i1, i2))
+            return super().row_pair_dot(i1, i2)
+
+    A = Counting(rng(5).standard_normal((3, 4)))
+    two_dim_row_coeffs(A, build_norm_cache(A), 0, 2, 0.5, -1.0)
+    assert calls == [(0, 2)]
+
+
 def test_row_coeffs_parallel_rejected():
     A = DenseMatrix([[1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ParallelPairError):
