@@ -12,10 +12,8 @@ from .linalg import (
     DualSparseMatrix,
     NormCache,
     build_norm_cache,
-    col_view,
     direct_least_squares,
     gram_extreme_eigenvalues,
-    row_view,
 )
 from .problems import (
     LsProblem,
@@ -43,8 +41,6 @@ __all__ = [
     "DualSparseMatrix",
     "NormCache",
     "build_norm_cache",
-    "row_view",
-    "col_view",
     "direct_least_squares",
     "gram_extreme_eigenvalues",
     "LsProblem",

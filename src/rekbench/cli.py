@@ -32,12 +32,7 @@ from .problems import (
     read_matrix_market,
     save_problem,
 )
-from .solvers import (
-    SAMPLING_KINDS,
-    SolverKind,
-    StopConfig,
-    solve,
-)
+from .solvers import SAMPLING_KINDS, SolverKind, StopConfig, solve
 from .theory import (
     ConstantsTooLargeError,
     compute_constants,
@@ -180,20 +175,29 @@ class _UsageFailure(Exception):
     pass
 
 
+def _stop_config(**settings):
+    try:
+        return StopConfig(**settings)
+    except ValueError as exc:
+        raise _UsageFailure(str(exc)) from None
+
+
 def _cmd_solve(args):
     kind = _parse_kind(args.method)
     problem = _load(args.problem)
-    config = StopConfig(
+    fraction = {}
+    if args.fraction is not None:
+        if kind in SAMPLING_KINDS:
+            fraction["fraction"] = args.fraction
+        else:
+            print(f"warning: --fraction ignored for {kind.value}", file=sys.stderr)
+    config = _stop_config(
         tol=args.tol,
         check_every=args.check_every,
         max_iters=args.max_iters,
         track_history=args.history is not None,
+        **fraction,
     )
-    if args.fraction is not None:
-        if kind in SAMPLING_KINDS:
-            config.fraction = args.fraction
-        else:
-            print(f"warning: --fraction ignored for {kind.value}", file=sys.stderr)
     record = solve(kind, problem, config, args.seed)
     print(json.dumps(_result_row(record, problem, kind.value, args.seed)))
     if args.history is not None:
@@ -221,8 +225,10 @@ def _cmd_bench(args):
         raise _UsageFailure("bench needs --methods and --problems (or a config file)")
     kinds = [_parse_kind(name.strip()) for name in methods]
     trials = int(spec.get("trials", args.trials))
+    if trials < 1:
+        raise _UsageFailure(f"trials must be at least 1, got {trials}")
     base_seed = int(spec.get("seed", args.seed))
-    config_template = dict(
+    config = _stop_config(
         tol=float(spec.get("tol", args.tol)),
         check_every=spec.get("check_every", args.check_every),
         max_iters=spec.get("max_iters", args.max_iters),
@@ -241,7 +247,7 @@ def _cmd_bench(args):
         kind, pidx, trial = cell
         problem = loaded[pidx]
         seed = rngmod.cell_seed(base_seed, kind.value, pidx, trial)
-        record = solve(kind, problem, StopConfig(**config_template), seed)
+        record = solve(kind, problem, config, seed)
         return _result_row(record, problem, kind.value, seed)
 
     if args.jobs > 1:

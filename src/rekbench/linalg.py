@@ -54,15 +54,8 @@ class DenseMatrix:
             raise IndexError(f"col index {j} out of range for {self.cols} cols")
         return self.values[:, j]
 
-    # Dense row/col "vectors" coincide with the views above.
-    row_vec = row
+    # The dense column "vector" is the view above.
     col_vec = col
-
-    def row_dot(self, i, x):
-        return float(self.row(i) @ x)
-
-    def col_dot(self, j, z):
-        return float(self.col(j) @ z)
 
     def row_pair_dot(self, i1, i2):
         return float(self.row(i1) @ self.row(i2))
@@ -161,25 +154,11 @@ class DualSparseMatrix:
         sl = slice(self.csc_indptr[j], self.csc_indptr[j + 1])
         return self.csc_indices[sl], self.csc_data[sl]
 
-    def row_vec(self, i):
-        out = np.zeros(self.cols)
-        idx, val = self.row(i)
-        out[idx] = val
-        return out
-
     def col_vec(self, j):
         out = np.zeros(self.rows)
         idx, val = self.col(j)
         out[idx] = val
         return out
-
-    def row_dot(self, i, x):
-        idx, val = self.row(i)
-        return float(val @ x[idx])
-
-    def col_dot(self, j, z):
-        idx, val = self.col(j)
-        return float(val @ z[idx])
 
     def row_pair_dot(self, i1, i2):
         scratch = np.zeros(self.cols)
@@ -245,16 +224,6 @@ class DualSparseMatrix:
         return out
 
 
-def row_view(A, i):
-    """The i-th row: dense view, or (index, value) pairs for sparse."""
-    return A.row(i)
-
-
-def col_view(A, j):
-    """The j-th column: dense view, or (index, value) pairs for sparse."""
-    return A.col(j)
-
-
 @dataclass(frozen=True)
 class NormCache:
     row_sq_norms: np.ndarray
@@ -262,16 +231,31 @@ class NormCache:
     frob_sq: float
 
 
+NORM_BLOCK_ROWS = 256
+
+
 def build_norm_cache(A) -> NormCache:
-    """Squared row/column norms and the squared Frobenius norm of A."""
+    """Squared row/column norms and the squared Frobenius norm of A.
+
+    A dense A is squared NORM_BLOCK_ROWS rows at a time, not as a whole
+    m x n temporary.  The column sums carry from block to block and add
+    rows in the same order as (A**2).sum(axis=0), so the bits are the same.
+    """
     if A.is_sparse:
         sq = A.csr_data**2
         row_sq = np.bincount(A.csr_rowids, weights=sq, minlength=A.rows)
         col_sq = np.bincount(A.csr_indices, weights=sq, minlength=A.cols)
     else:
-        sq = A.values**2
-        row_sq = sq.sum(axis=1)
-        col_sq = sq.sum(axis=0)
+        row_sq = np.empty(A.rows)
+        col_sq = np.zeros(A.cols)
+        for start in range(0, A.rows, NORM_BLOCK_ROWS):
+            block = slice(start, start + NORM_BLOCK_ROWS)
+            sq = A.values[block] ** 2
+            row_sq[block] = sq.sum(axis=1)
+            col_sq = np.concatenate([col_sq[None], sq]).sum(axis=0)
+        if A.cols == 1:
+            # One column is a contiguous vector, which numpy sums pairwise.
+            col_sq = row_sq.sum(keepdims=True)
     return NormCache(row_sq, col_sq, float(row_sq.sum()))
 
 

@@ -36,13 +36,6 @@ class ScoreVector:
 
 
 @dataclass(frozen=True)
-class GreedySelection:
-    epsilon: float
-    index_set: np.ndarray
-    chosen: tuple
-
-
-@dataclass(frozen=True)
 class SampleSet:
     indices: np.ndarray
     fraction: float
@@ -58,19 +51,6 @@ def scores_from_residual(residual, sq_norms, axis):
         where=sq_norms > 0,
     )
     return ScoreVector(scores, residual_sq, float(residual_sq.sum()), axis)
-
-
-def row_scores(A, cache, x, b, z=None):
-    """Scores of the shifted residual b - z - Ax against row norms."""
-    res = b - A.matvec(x)
-    if z is not None:
-        res = res - z
-    return scores_from_residual(res, cache.row_sq_norms, "row")
-
-
-def col_scores(A, cache, z):
-    """Scores of A^T z against column norms."""
-    return scores_from_residual(A.rmatvec(z), cache.col_sq_norms, "column")
 
 
 def greedy_threshold(s, frob_sq):

@@ -33,7 +33,7 @@ from .selection import (
     weighted_pick,
     weighted_pick_norms,
 )
-from .updates import ParallelPairError, pair_geometry_from, two_dim_row_coeffs
+from .updates import ParallelPairError, two_dim_row_coeffs
 
 
 class SolverKind(str, Enum):
@@ -54,13 +54,55 @@ class SolverKind(str, Enum):
     SPROJ = "SPROJ"
 
 
+@dataclass(frozen=True)
+class Method:
+    """How a kind picks lines, and on which axes it steps.
+
+    rule is one of norm (draw by squared norm), norm_sample (norm draws from
+    a simple random sample), greedy (draw from the greedy index set), argmax
+    (largest score) and top_sample (largest scores in a sample); pair picks
+    two lines per axis.  fraction is the sample size of the sample rules:
+    None means StopConfig.fraction.
+    """
+
+    rule: str
+    pair: bool
+    rows: bool  # steps x against r = b - z - Ax (or b - Ax without z)
+    cols: bool  # steps z against g = A^T z
+    fraction: float | None = None
+
+    @property
+    def axes(self):
+        return ("row",) * self.rows + ("column",) * self.cols
+
+
 K = SolverKind
-EXTENDED_KINDS = frozenset(
-    {K.REK, K.TREK_ALT, K.TREKS, K.GREK, K.SREK, K.TGREK, K.TSREK, K.TSREKS}
+METHODS = {
+    K.REK: Method("norm", pair=False, rows=True, cols=True),
+    K.TREK_ALT: Method("norm_sample", pair=True, rows=True, cols=True, fraction=1.0),
+    K.TREKS: Method("norm_sample", pair=True, rows=True, cols=True),
+    K.GREK: Method("greedy", pair=False, rows=True, cols=True),
+    K.SREK: Method("argmax", pair=False, rows=True, cols=True),
+    K.TGREK: Method("greedy", pair=True, rows=True, cols=True),
+    K.TSREK: Method("argmax", pair=True, rows=True, cols=True),
+    K.TSREKS: Method("top_sample", pair=True, rows=True, cols=True),
+    K.RK: Method("norm", pair=False, rows=True, cols=False),
+    K.TRKS: Method("norm_sample", pair=True, rows=True, cols=False),
+    K.TGRK: Method("greedy", pair=True, rows=True, cols=False),
+    K.TSRK: Method("argmax", pair=True, rows=True, cols=False),
+    K.TSRKS: Method("top_sample", pair=True, rows=True, cols=False),
+    K.GPROJ: Method("greedy", pair=False, rows=False, cols=True),
+    K.SPROJ: Method("argmax", pair=False, rows=False, cols=True),
+}
+_SAMPLE_RULES = ("norm_sample", "top_sample")
+
+EXTENDED_KINDS = frozenset(k for k, m in METHODS.items() if m.rows and m.cols)
+CONSISTENT_KINDS = frozenset(k for k, m in METHODS.items() if not m.cols)
+PROJECTION_KINDS = frozenset(k for k, m in METHODS.items() if not m.rows)
+# The kinds that read StopConfig.fraction.
+SAMPLING_KINDS = frozenset(
+    k for k, m in METHODS.items() if m.rule in _SAMPLE_RULES and m.fraction is None
 )
-CONSISTENT_KINDS = frozenset({K.RK, K.TRKS, K.TGRK, K.TSRK, K.TSRKS})
-PROJECTION_KINDS = frozenset({K.GPROJ, K.SPROJ})
-SAMPLING_KINDS = frozenset({K.TREKS, K.TSREKS, K.TRKS, K.TSRKS})
 
 _REDRAW_TRIES = 50
 
@@ -72,6 +114,14 @@ class StopConfig:
     max_iters: int | None = None  # default 200 * min(m, n)
     track_history: bool = False
     fraction: float = 0.01  # sampling fraction for the *S methods
+
+    def __post_init__(self):
+        if not 0.0 < self.fraction <= 1.0:
+            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+        if self.check_every is not None and self.check_every < 1:
+            raise ValueError(f"check_every must be at least 1, got {self.check_every}")
+        if self.max_iters is not None and self.max_iters < 0:
+            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
 
 
 @dataclass
@@ -98,12 +148,12 @@ def build_caches(A, kind=None) -> ProblemCaches:
     )
     if kind is None or A.is_sparse:
         return caches
-    kind = SolverKind(kind)
+    method = METHODS[SolverKind(kind)]
     values = A.values
     if A.cols <= A.rows:
-        if kind not in CONSISTENT_KINDS:
+        if method.cols:
             caches.col_gram = values.T @ values
-    elif kind not in PROJECTION_KINDS:
+    elif method.rows:
         caches.row_gram = values @ values.T
     return caches
 
@@ -111,38 +161,33 @@ def build_caches(A, kind=None) -> ProblemCaches:
 @dataclass
 class SolverState:
     kind: SolverKind
-    x: np.ndarray | None
-    z: np.ndarray | None
-    r: np.ndarray | None  # b - z - Ax (extended) or b - Ax (consistent)
-    g: np.ndarray | None  # A^T z
+    x: np.ndarray | None  # None without row steps
+    z: np.ndarray | None  # None without column steps
+    r: np.ndarray | None  # b - z - Ax (b - Ax without z); None without x
+    g: np.ndarray | None  # A^T z; None without z
     k: int
     rng: np.random.Generator
 
     @classmethod
     def initial(cls, kind, problem, seed=0):
         kind = SolverKind(kind)
+        method = METHODS[kind]
         m, n = problem.A.shape
         b = np.asarray(problem.b, dtype=np.float64)
         gen = rngmod.stream(seed, rngmod.method_tag(kind.value))
-        if kind in PROJECTION_KINDS:
+        x = z = r = g = None
+        if method.cols:
             z = b.copy()
-            return cls(kind, None, z, None, problem.A.rmatvec(z), 0, gen)
-        if kind in CONSISTENT_KINDS:
-            return cls(kind, np.zeros(n), None, b.copy(), None, 0, gen)
-        z = b.copy()
-        # x0 = 0 and z0 = b, so the shifted residual starts exactly at 0.
-        return cls(kind, np.zeros(n), z, np.zeros(m), problem.A.rmatvec(z), 0, gen)
+            g = problem.A.rmatvec(z)
+        if method.rows:
+            x = np.zeros(n)
+            # x0 = 0, so r0 = b - z0: exactly 0 when z0 = b.
+            r = np.zeros(m) if method.cols else b.copy()
+        return cls(kind, x, z, r, g, 0, gen)
 
     def refresh(self, problem):
         """Recompute the maintained residual vectors from scratch."""
-        A, b = problem.A, problem.b
-        if self.kind in PROJECTION_KINDS:
-            self.g = A.rmatvec(self.z)
-        elif self.kind in CONSISTENT_KINDS:
-            self.r = b - A.matvec(self.x)
-        else:
-            self.r = b - self.z - A.matvec(self.x)
-            self.g = A.rmatvec(self.z)
+        self.r, self.g = _fresh_residuals(self, problem)
 
 
 @dataclass
@@ -169,7 +214,7 @@ def rse(x, x_star):
 
 
 # ---------------------------------------------------------------------------
-# Selection dispatch (row and column halves share the same shapes)
+# Selection (row and column halves share the same shapes)
 
 
 def _pick_two_distinct(pick, singleton):
@@ -184,7 +229,21 @@ def _pick_two_distinct(pick, singleton):
     return i1, None
 
 
-def _select(kind, axis, state, caches, config):
+def _sampled_lines(method, sq_norms, rng, config):
+    """The nonzero-norm lines of a simple random sample of one axis.
+
+    An axis with one line is its own sample, so it takes a 1-D step.
+    """
+    population = len(sq_norms)
+    if population == 1:
+        indices = np.zeros(1, dtype=np.intp)
+    else:
+        fraction = config.fraction if method.fraction is None else method.fraction
+        indices = simple_random_sample(population, fraction, rng).indices
+    return indices[sq_norms[indices] > 0]
+
+
+def _select(method, axis, state, caches, config):
     """Chosen (first, second-or-None) indices along one axis, or None to skip.
 
     axis 'row' scores the maintained r against row norms; axis 'column'
@@ -192,72 +251,38 @@ def _select(kind, axis, state, caches, config):
     """
     norms = caches.norms
     if axis == "row":
-        residual = state.r
-        sq_norms = norms.row_sq_norms
-        nonzero = caches.nonzero_rows
-        population = len(sq_norms)
-        greedy_one, greedy_two = (K.GREK,), (K.TGREK, K.TGRK)
-        argmax_one, argmax_two = (K.SREK,), (K.TSREK, K.TSRK)
-        sample_norm_two = (K.TREKS, K.TREK_ALT, K.TRKS)
-        sample_top_two = (K.TSREKS, K.TSRKS)
+        residual, sq_norms, nonzero = state.r, norms.row_sq_norms, caches.nonzero_rows
     else:
-        residual = state.g
-        sq_norms = norms.col_sq_norms
-        nonzero = caches.nonzero_cols
-        population = len(sq_norms)
-        greedy_one, greedy_two = (K.GREK, K.GPROJ), (K.TGREK,)
-        argmax_one, argmax_two = (K.SREK, K.SPROJ), (K.TSREK,)
-        sample_norm_two = (K.TREKS, K.TREK_ALT)
-        sample_top_two = (K.TSREKS,)
+        residual, sq_norms, nonzero = state.g, norms.col_sq_norms, caches.nonzero_cols
     if nonzero.size == 0:
         return None
-
-    if kind in (K.REK, K.RK):
+    rule = method.rule
+    if rule == "norm":
         return weighted_pick_norms(norms, nonzero, axis, state.rng), None
 
-    if kind in sample_norm_two:
-        fraction = 1.0 if kind is K.TREK_ALT else config.fraction
-        sample = simple_random_sample(population, fraction, state.rng)
-        valid = sample.indices[sq_norms[sample.indices] > 0]
-        if valid.size == 0:
+    if rule != "norm_sample":
+        # The other rules score the residual; a zero residual means no-op.
+        s = scores_from_residual(residual, sq_norms, axis)
+        if s.total_sq <= 0.0 or s.scores.max() <= 0.0:
             return None
-        if valid.size == 1:
-            return int(valid[0]), None
-        return _pick_two_distinct(
-            lambda: weighted_pick_norms(norms, valid, axis, state.rng), False
-        )
-
-    # Everything below scores the residual; a zero residual means no-op.
-    s = scores_from_residual(residual, sq_norms, axis)
-    if s.total_sq <= 0.0 or s.scores.max() <= 0.0:
-        return None
-
-    if kind in greedy_one or kind in greedy_two:
+    if rule == "greedy":
         eps = greedy_threshold(s, norms.frob_sq)
         index_set = build_index_set(s, eps, norms)
         pick = lambda: weighted_pick(s, index_set, state.rng)
-        if kind in greedy_one:
-            return pick(), None
-        return _pick_two_distinct(pick, index_set.size == 1)
+        return _pick_two_distinct(pick, not method.pair or index_set.size == 1)
 
-    if kind in argmax_one:
-        return int(nonzero[np.argmax(s.scores[nonzero])]), None
-
-    if kind in argmax_two:
-        if nonzero.size == 1:
-            return int(nonzero[0]), None
-        return top_two(s, nonzero)
-
-    if kind in sample_top_two:
-        sample = simple_random_sample(population, config.fraction, state.rng)
-        valid = sample.indices[sq_norms[sample.indices] > 0]
-        if valid.size == 0:
-            return None
-        if valid.size == 1:
-            return int(valid[0]), None
-        return top_two(s, valid)
-
-    raise ValueError(f"no {axis} selection rule for {kind}")
+    domain = nonzero if rule == "argmax" else _sampled_lines(method, sq_norms, state.rng, config)
+    if domain.size == 0:
+        return None
+    if domain.size == 1:
+        return int(domain[0]), None
+    if rule == "norm_sample":
+        return _pick_two_distinct(
+            lambda: weighted_pick_norms(norms, domain, axis, state.rng), False
+        )
+    if not method.pair:
+        return int(domain[np.argmax(s.scores[domain])]), None
+    return top_two(s, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -286,68 +311,58 @@ def _residual_change(gram, product, delta, idx, coeffs):
     return out
 
 
-def _row_step(state, A, caches, i1, i2):
-    """Row update at (i1, i2), or at i1 alone, using the maintained residual."""
+def _axis_step(state, A, caches, axis, i1, i2):
+    """Step on lines (i1, i2), or on i1 alone, of one axis.
+
+    A row step moves x by a combination of rows that zeroes the chosen
+    entries of r.  A column step moves z by a combination of columns that
+    zeroes the chosen entries of g = A^T z: the same 2x2 system on the
+    column Gram entries, with -g as its residual.  Either falls back to
+    the 1-D step on i1 when the pair is parallel.
+    """
+    row = axis == "row"
     norms = caches.norms
-    r1 = float(state.r[i1])
+    sq_norms = norms.row_sq_norms if row else norms.col_sq_norms
+    residual = state.r if row else state.g
+    # Negation is exact, so the column formulas see -g bit for bit.
+    sign = 1.0 if row else -1.0
+    r1 = sign * float(residual[i1])
     idx = None
     if i2 is not None and i2 != i1:
+        dot = A.row_pair_dot(i1, i2) if row else A.col_pair_dot(i1, i2)
         try:
-            co = two_dim_row_coeffs(A, norms, i1, i2, r1, float(state.r[i2]))
+            gamma, lam = two_dim_row_coeffs(
+                dot, sq_norms[i1], sq_norms[i2], r1, sign * float(residual[i2])
+            )
         except ParallelPairError:
             pass
         else:
-            idx, coeffs = (i1, i2), (co.gamma, co.lam)
+            idx, coeffs = (i1, i2), (gamma, lam)
     if idx is None:
-        c = r1 / norms.row_sq_norms[i1]
+        c = r1 / sq_norms[i1]
         if c == 0.0:
             return
         idx, coeffs = (i1,), (c,)
-    dx = _combination(A.add_scaled_row, A.cols, idx, coeffs)
-    state.x += dx
-    state.r -= _residual_change(caches.row_gram, A.matvec, dx, idx, coeffs)
-
-
-def _col_step(state, A, caches, j1, j2):
-    """Column update at (j1, j2), or at j1 alone, using the maintained dual residual."""
-    norms = caches.norms
-    g1 = float(state.g[j1])
-    idx = None
-    if j2 is not None and j2 != j1:
-        n1_sq = norms.col_sq_norms[j1]
-        n2_sq = norms.col_sq_norms[j2]
-        dot = A.col_pair_dot(j1, j2)
-        geo = pair_geometry_from(dot, n1_sq, n2_sq)
-        if not geo.parallel:
-            g2 = float(state.g[j2])
-            gamma = (dot * g2 - n2_sq * g1) / geo.denom
-            lam = (dot * g1 - n1_sq * g2) / geo.denom
-            idx, coeffs = (j1, j2), (gamma, lam)
-    if idx is None:
-        c = -g1 / norms.col_sq_norms[j1]
-        if c == 0.0:
-            return
-        idx, coeffs = (j1,), (c,)
-    dz = _combination(A.add_scaled_col, A.rows, idx, coeffs)
-    state.z += dz
-    if state.r is not None:
-        state.r -= dz
-    state.g += _residual_change(caches.col_gram, A.rmatvec, dz, idx, coeffs)
+    if row:
+        dx = _combination(A.add_scaled_row, A.cols, idx, coeffs)
+        state.x += dx
+        state.r -= _residual_change(caches.row_gram, A.matvec, dx, idx, coeffs)
+    else:
+        dz = _combination(A.add_scaled_col, A.rows, idx, coeffs)
+        state.z += dz
+        if state.r is not None:
+            state.r -= dz
+        state.g += _residual_change(caches.col_gram, A.rmatvec, dz, idx, coeffs)
 
 
 def step(kind, state, problem, caches, config):
     """Advance the state by exactly one iteration of the named method."""
-    kind = SolverKind(kind)
-    A = problem.A
-    rows = cols = None
-    if kind not in PROJECTION_KINDS:
-        rows = _select(kind, "row", state, caches, config)
-    if kind not in CONSISTENT_KINDS:
-        cols = _select(kind, "column", state, caches, config)
-    if rows is not None:
-        _row_step(state, A, caches, *rows)
-    if cols is not None:
-        _col_step(state, A, caches, *cols)
+    method = METHODS[SolverKind(kind)]
+    # Both axes pick from the state at the start of the step.
+    chosen = [(axis, _select(method, axis, state, caches, config)) for axis in method.axes]
+    for axis, lines in chosen:
+        if lines is not None:
+            _axis_step(state, problem.A, caches, axis, *lines)
     state.k += 1
     return state
 
@@ -356,50 +371,50 @@ def step(kind, state, problem, caches, config):
 # Stopping rule and driver
 
 
+def _fresh_residuals(state, problem):
+    """(r, g) computed from x and z; None for a residual the method does not keep."""
+    method = METHODS[state.kind]
+    A, b = problem.A, problem.b
+    r = g = None
+    if method.rows:
+        r = (b - state.z if method.cols else b) - A.matvec(state.x)
+    if method.cols:
+        g = A.rmatvec(state.z)
+    return r, g
+
+
+def _residual_norms(state, problem):
+    """(primary, dual) residual norms, computed fresh; nan where not kept."""
+    return tuple(
+        math.nan if v is None else float(np.linalg.norm(v))
+        for v in _fresh_residuals(state, problem)
+    )
+
+
 def converged(state, problem, caches, config):
     """Fresh evaluation of the stopping criteria for the state's method."""
-    A, b = problem.A, problem.b
+    method = METHODS[state.kind]
     tol = config.tol
     frob_sq = caches.norms.frob_sq
     frob = math.sqrt(frob_sq)
-    if state.kind in PROJECTION_KINDS:
+    primary, dual = _residual_norms(state, problem)
+    if not method.rows:
         z_norm = float(np.linalg.norm(state.z))
-        if z_norm == 0.0:
-            return True
-        return float(np.linalg.norm(A.rmatvec(state.z))) <= tol * frob_sq * z_norm
+        return z_norm == 0.0 or dual <= tol * frob_sq * z_norm
     x_norm = float(np.linalg.norm(state.x))
     if x_norm == 0.0:
         # The bounds below scale with ||A||_F ||x||, which vanishes here;
         # ||b|| takes its place, as both measure vectors the size of A x.
         # So b orthogonal to range(A) (x_star = 0) stops at x = 0, z = b.
-        b_norm = float(np.linalg.norm(b))
-        if state.kind in CONSISTENT_KINDS:
-            return b_norm <= tol * b_norm
-        primary = float(np.linalg.norm(b - state.z))
-        dual = float(np.linalg.norm(A.rmatvec(state.z)))
-        return primary <= tol * b_norm and dual <= tol * frob * b_norm
-    if state.kind in CONSISTENT_KINDS:
-        return float(np.linalg.norm(b - A.matvec(state.x))) <= tol * frob * x_norm
-    primary = float(np.linalg.norm(b - state.z - A.matvec(state.x)))
-    dual = float(np.linalg.norm(A.rmatvec(state.z)))
-    return primary <= tol * frob * x_norm and dual <= tol * frob_sq * x_norm
-
-
-def _residual_norms(state, problem):
-    """(primary, dual) residual norms, computed fresh."""
-    A, b = problem.A, problem.b
-    if state.kind in PROJECTION_KINDS:
-        return math.nan, float(np.linalg.norm(A.rmatvec(state.z)))
-    if state.kind in CONSISTENT_KINDS:
-        return float(np.linalg.norm(b - A.matvec(state.x))), math.nan
-    return (
-        float(np.linalg.norm(b - state.z - A.matvec(state.x))),
-        float(np.linalg.norm(A.rmatvec(state.z))),
-    )
+        b_norm = float(np.linalg.norm(problem.b))
+        primary_bound, dual_bound = tol * b_norm, tol * frob * b_norm
+    else:
+        primary_bound, dual_bound = tol * frob * x_norm, tol * frob_sq * x_norm
+    return primary <= primary_bound and (not method.cols or dual <= dual_bound)
 
 
 def _current_rse(state, problem):
-    if state.kind in PROJECTION_KINDS or problem.x_star is None:
+    if state.x is None or problem.x_star is None:
         return math.nan
     if float(problem.x_star @ problem.x_star) == 0.0:
         return math.nan

@@ -29,13 +29,9 @@ from rekbench.solvers import (
     step,
 )
 from rekbench.theory import compute_constants, empirical_contraction, rate_thm1, rates_all
-from rekbench.updates import (
-    ParallelPairError,
-    two_dim_col_update,
-    two_dim_row_coeffs,
-    two_dim_row_update,
-)
+from rekbench.updates import ParallelPairError
 from test_solvers import consistent_problem
+from test_updates import col_step, row_coeffs, row_step
 
 
 def philox(seed):
@@ -54,22 +50,21 @@ def test_criterion_1_petrov_galerkin_exactness():
         b = g.standard_normal(m)
         x = g.standard_normal(n)
         z = g.standard_normal(m)
-        i1, i2 = g.choice(m, size=2, replace=False)
-        r1 = b[i1] - z[i1] - A.row_dot(i1, x)
-        r2 = b[i2] - z[i2] - A.row_dot(i2, x)
+        i1, i2 = (int(i) for i in g.choice(m, size=2, replace=False))
+        r = b - z - A.matvec(x)
         try:
-            two_dim_row_coeffs(A, cache, i1, i2, r1, r2)
+            row_coeffs(A, i1, i2, r[i1], r[i2])
         except ParallelPairError:
             continue
-        x2 = two_dim_row_update(x, A, cache, i1, i2, r1, r2)
+        x2 = row_step(A, x, b - z, i1, i2)
         scale = np.linalg.norm(b) + np.sqrt(cache.frob_sq) * np.linalg.norm(x2)
-        assert abs(b[i1] - z[i1] - A.row_dot(i1, x2)) <= 1e-10 * scale
-        assert abs(b[i2] - z[i2] - A.row_dot(i2, x2)) <= 1e-10 * scale
-        j1, j2 = g.choice(n, size=2, replace=False)
-        z2 = two_dim_col_update(z, A, cache, j1, j2)
+        assert abs(b[i1] - z[i1] - A.row(i1) @ x2) <= 1e-10 * scale
+        assert abs(b[i2] - z[i2] - A.row(i2) @ x2) <= 1e-10 * scale
+        j1, j2 = (int(j) for j in g.choice(n, size=2, replace=False))
+        z2 = col_step(A, z, j1, j2)
         z_scale = np.sqrt(cache.frob_sq) * np.linalg.norm(z)
-        assert abs(A.col_dot(j1, z2)) <= 1e-10 * z_scale
-        assert abs(A.col_dot(j2, z2)) <= 1e-10 * z_scale
+        assert abs(A.col(j1) @ z2) <= 1e-10 * z_scale
+        assert abs(A.col(j2) @ z2) <= 1e-10 * z_scale
         states += 1
     elapsed = time.time() - t0
     assert elapsed < 10.0

@@ -233,3 +233,37 @@ def test_constants_output(capsys, tmp_path):
 def test_constants_needs_exactly_one_source(capsys, tmp_path):
     code, _, _ = run(capsys, "constants")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--method", "TREKS", "--fraction", "0"),
+        ("--method", "TREKS", "--fraction", "1.5"),
+        ("--method", "REK", "--check-every", "-1"),
+        ("--method", "REK", "--check-every", "0"),
+        ("--method", "REK", "--max-iters", "-1"),
+    ],
+)
+def test_solve_out_of_range_stop_setting_is_usage_error(capsys, tmp_path, extra):
+    path = gen_bundle(capsys, tmp_path)
+    code, out, err = run(capsys, "solve", "--problem", path, *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--fraction", "0"), ("--check-every", "-1"), ("--max-iters", "-1"), ("--trials", "0")],
+)
+def test_bench_out_of_range_setting_is_usage_error(capsys, tmp_path, extra):
+    path = gen_bundle(capsys, tmp_path)
+    out_csv = tmp_path / "res.csv"
+    code, out, err = run(
+        capsys, "bench", "--methods", "REK", "--problems", path, "--out", str(out_csv), *extra
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_csv.exists()

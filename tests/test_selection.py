@@ -8,9 +8,7 @@ from rekbench.selection import (
     AlreadyConverged,
     DegenerateProblemError,
     build_index_set,
-    col_scores,
     greedy_threshold,
-    row_scores,
     scores_from_residual,
     simple_random_sample,
     top_two,
@@ -21,6 +19,17 @@ from rekbench.selection import (
 
 def rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def row_scores(A, cache, x, b, z=None):
+    """Scores of the shifted residual b - z - Ax against row norms."""
+    res = b - A.matvec(x) if z is None else b - z - A.matvec(x)
+    return scores_from_residual(res, cache.row_sq_norms, "row")
+
+
+def col_scores(A, cache, z):
+    """Scores of A^T z against column norms."""
+    return scores_from_residual(A.rmatvec(z), cache.col_sq_norms, "column")
 
 
 def test_row_scores_identity():

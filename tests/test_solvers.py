@@ -6,7 +6,9 @@ from rekbench.problems import LsProblem, gen_gaussian, make_inconsistent_problem
 from rekbench.solvers import (
     CONSISTENT_KINDS,
     EXTENDED_KINDS,
+    METHODS,
     PROJECTION_KINDS,
+    SAMPLING_KINDS,
     RunRecord,
     SolverKind,
     SolverState,
@@ -301,3 +303,80 @@ def test_sparse_and_dense_agree_for_srek():
             step(SolverKind.SREK, state, problem, caches, StopConfig())
         results.append(state.x.copy())
     assert np.allclose(results[0], results[1], atol=1e-10)
+
+
+def test_every_kind_has_one_method_row():
+    assert list(METHODS) == ALL_KINDS
+    rules = {"norm", "norm_sample", "greedy", "argmax", "top_sample"}
+    assert all(m.rule in rules and (m.rows or m.cols) for m in METHODS.values())
+
+
+def test_families_partition_the_kinds():
+    families = (EXTENDED_KINDS, CONSISTENT_KINDS, PROJECTION_KINDS)
+    assert sum(len(f) for f in families) == len(ALL_KINDS)
+    assert EXTENDED_KINDS | CONSISTENT_KINDS | PROJECTION_KINDS == set(ALL_KINDS)
+
+
+class FractionSpy:
+    """A stop config that counts reads of fraction."""
+
+    reads = 0
+
+    @property
+    def fraction(self):
+        self.reads += 1
+        return 0.5
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_sampling_kinds_are_the_fraction_readers(kind):
+    problem = make_inconsistent_problem(gen_gaussian(12, 6, 19), 19)
+    caches = build_caches(problem.A, kind)
+    state = SolverState.initial(kind, problem, seed=2)
+    spy = FractionSpy()
+    for _ in range(5):
+        step(kind, state, problem, caches, spy)
+    assert (spy.reads > 0) == (kind in SAMPLING_KINDS)
+
+
+SAMPLED_PAIR_KINDS = [SolverKind.TREK_ALT, SolverKind.TREKS, SolverKind.TSREKS, SolverKind.TRKS, SolverKind.TSRKS]
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (1, 6)])
+@pytest.mark.parametrize("kind", SAMPLED_PAIR_KINDS)
+def test_sampled_pair_kinds_take_1d_steps_on_a_one_line_axis(kind, shape):
+    problem = make_inconsistent_problem(gen_gaussian(*shape, 21), 21)
+    A, b = problem.A, problem.b
+    caches = build_caches(A, kind)
+    state = SolverState.initial(kind, problem, seed=3)
+    step(kind, state, problem, caches, StopConfig(fraction=0.5))
+    if shape == (6, 1) and state.z is not None:
+        # One column: the column step projects z off it.
+        assert abs(A.col(0) @ state.z) <= 1e-12 * np.linalg.norm(b) * np.linalg.norm(A.col(0))
+    if shape == (1, 6) and state.z is None:
+        # One row: the row step solves it.
+        assert abs(b[0] - A.row(0) @ state.x) <= 1e-12 * abs(b[0])
+    rec = solve(kind, problem, StopConfig(tol=1e-8), seed=3)
+    if kind in EXTENDED_KINDS or shape == (1, 6):
+        assert rec.converged
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"fraction": 0.0},
+        {"fraction": -0.5},
+        {"fraction": 1.5},
+        {"check_every": 0},
+        {"check_every": -1},
+        {"max_iters": -1},
+    ],
+)
+def test_stop_config_rejects_out_of_range(settings):
+    with pytest.raises(ValueError):
+        StopConfig(**settings)
+
+
+def test_stop_config_accepts_the_edges():
+    config = StopConfig(fraction=1.0, check_every=1, max_iters=0)
+    assert (config.fraction, config.check_every, config.max_iters) == (1.0, 1, 0)
