@@ -16,7 +16,6 @@ import json
 import math
 import statistics
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -91,7 +90,7 @@ def _build_parser():
     bn.add_argument("--max-iters", type=int, default=None)
     bn.add_argument("--check-every", type=int, default=None)
     bn.add_argument("--seed", type=int, default=0)
-    bn.add_argument("--jobs", type=int, default=1)
+    bn.add_argument("--jobs", type=int, default=1, help="ignored; bench runs cells in order")
     bn.add_argument("--out", required=True)
     bn.add_argument("--summary-out", default=None)
 
@@ -122,7 +121,7 @@ class _IoFailure(Exception):
 
 def _cmd_gen(args):
     if args.generator == "gaussian":
-        A = gen_gaussian(args.m, args.n, args.seed)
+        A = _checked(gen_gaussian, args.m, args.n, args.seed)
         if args.inconsistent:
             problem = make_inconsistent_problem(A, args.seed)
         else:
@@ -138,7 +137,7 @@ def _cmd_gen(args):
                 meta={"seed": args.seed, "generator": "gen_gaussian"},
             )
     elif args.generator == "tomo":
-        problem = gen_parallel_beam(args.side, args.angles, args.detectors, args.seed)
+        problem = _checked(gen_parallel_beam, args.side, args.angles, args.detectors, args.seed)
     else:
         A = read_matrix_market(args.path)
         problem = make_inconsistent_problem(A, args.seed)
@@ -175,11 +174,20 @@ class _UsageFailure(Exception):
     pass
 
 
-def _stop_config(**settings):
+def _checked(build, *args, **kwargs):
+    """build(*args, **kwargs), with its out-of-range ValueError as a usage error."""
     try:
-        return StopConfig(**settings)
+        return build(*args, **kwargs)
+    except OracleTooLargeError:  # a size cap, not a usage error: exit 2
+        raise
     except ValueError as exc:
         raise _UsageFailure(str(exc)) from None
+
+
+def _at_least_one(name, value):
+    if value < 1:
+        raise _UsageFailure(f"{name} must be at least 1, got {value}")
+    return value
 
 
 def _cmd_solve(args):
@@ -191,7 +199,8 @@ def _cmd_solve(args):
             fraction["fraction"] = args.fraction
         else:
             print(f"warning: --fraction ignored for {kind.value}", file=sys.stderr)
-    config = _stop_config(
+    config = _checked(
+        StopConfig,
         tol=args.tol,
         check_every=args.check_every,
         max_iters=args.max_iters,
@@ -224,37 +233,26 @@ def _cmd_bench(args):
     if not methods or not problems:
         raise _UsageFailure("bench needs --methods and --problems (or a config file)")
     kinds = [_parse_kind(name.strip()) for name in methods]
-    trials = int(spec.get("trials", args.trials))
-    if trials < 1:
-        raise _UsageFailure(f"trials must be at least 1, got {trials}")
+    trials = _at_least_one("trials", int(spec.get("trials", args.trials)))
     base_seed = int(spec.get("seed", args.seed))
-    config = _stop_config(
+    config = _checked(
+        StopConfig,
         tol=float(spec.get("tol", args.tol)),
         check_every=spec.get("check_every", args.check_every),
         max_iters=spec.get("max_iters", args.max_iters),
         fraction=float(spec.get("fraction", args.fraction)),
     )
+    if args.jobs != 1:
+        print("warning: --jobs ignored; bench runs cells in order", file=sys.stderr)
     loaded = [_load(path.strip()) for path in problems]
 
-    cells = [
-        (kind, pidx, trial)
-        for kind in kinds
-        for pidx in range(len(loaded))
-        for trial in range(trials)
-    ]
-
-    def run_cell(cell):
-        kind, pidx, trial = cell
-        problem = loaded[pidx]
-        seed = rngmod.cell_seed(base_seed, kind.value, pidx, trial)
-        record = solve(kind, problem, config, seed)
-        return _result_row(record, problem, kind.value, seed)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(cell) for cell in cells]
+    rows = []
+    for kind in kinds:
+        for pidx, problem in enumerate(loaded):
+            for trial in range(trials):
+                seed = rngmod.cell_seed(base_seed, kind.value, pidx, trial)
+                record = solve(kind, problem, config, seed)
+                rows.append(_result_row(record, problem, kind.value, seed))
     rows.sort(key=lambda r: (r["method"], r["problem"], r["trial_seed"]))
 
     fieldnames = list(rows[0].keys())
@@ -293,6 +291,8 @@ def _constants_payload(A, sample=None):
         consts = compute_constants(A, cache, sample=sample)
     except ConstantsTooLargeError as exc:
         return None, {"error": str(exc), "note": "re-run with --sample for an approximate scan"}
+    except ValueError as exc:
+        raise _UsageFailure(str(exc)) from None
     rates = rates_all(consts, cache)
     payload = {
         "constants": {k: getattr(consts, k) for k in consts.__dataclass_fields__},
@@ -310,16 +310,15 @@ def _constants_payload(A, sample=None):
 def _cmd_constants(args):
     if bool(args.matrix) == bool(args.problem):
         raise _UsageFailure("constants needs exactly one of --matrix / --problem")
-    try:
-        A = read_matrix_market(args.matrix) if args.matrix else _load(args.problem).A
-    except (OSError, MatrixMarketError) as exc:
-        raise _IoFailure(str(exc)) from exc
+    A = read_matrix_market(args.matrix) if args.matrix else _load(args.problem).A
     _, payload = _constants_payload(A, sample=args.sample)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def _cmd_verify(args):
+    _at_least_one("trials", args.trials)
+    _at_least_one("steps", args.steps)
     problem = _load(args.problem)
     computed, payload = _constants_payload(problem.A)
     report = {"problem": problem.label, **payload}
@@ -368,10 +367,7 @@ def main(argv=None):
     except _UsageFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (_IoFailure, OracleTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (_IoFailure, OracleTooLargeError, MatrixMarketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -358,6 +358,8 @@ def gen_parallel_beam(image_side, n_angles, n_detectors, seed):
     """Parallel-beam tomography problem over the Shepp-Logan phantom."""
     if image_side < 4:
         raise ValueError("image_side must be at least 4")
+    if n_angles < 1 or n_detectors < 1:
+        raise ValueError("n_angles and n_detectors must be at least 1")
     A = parallel_beam_matrix(image_side, n_angles, n_detectors)
     phantom = shepp_logan(image_side)
     g = rngmod.stream(seed, rngmod.method_tag("gen_parallel_beam"))

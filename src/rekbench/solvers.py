@@ -186,8 +186,13 @@ class SolverState:
         return cls(kind, x, z, r, g, 0, gen)
 
     def refresh(self, problem):
-        """Recompute the maintained residual vectors from scratch."""
-        self.r, self.g = _fresh_residuals(self, problem)
+        """Recompute the maintained residual vectors from x and z."""
+        method = METHODS[self.kind]
+        A, b = problem.A, problem.b
+        if method.rows:
+            self.r = (b - self.z if method.cols else b) - A.matvec(self.x)
+        if method.cols:
+            self.g = A.rmatvec(self.z)
 
 
 @dataclass
@@ -371,33 +376,22 @@ def step(kind, state, problem, caches, config):
 # Stopping rule and driver
 
 
-def _fresh_residuals(state, problem):
-    """(r, g) computed from x and z; None for a residual the method does not keep."""
-    method = METHODS[state.kind]
-    A, b = problem.A, problem.b
-    r = g = None
-    if method.rows:
-        r = (b - state.z if method.cols else b) - A.matvec(state.x)
-    if method.cols:
-        g = A.rmatvec(state.z)
-    return r, g
-
-
-def _residual_norms(state, problem):
-    """(primary, dual) residual norms, computed fresh; nan where not kept."""
-    return tuple(
-        math.nan if v is None else float(np.linalg.norm(v))
-        for v in _fresh_residuals(state, problem)
-    )
+def _residual_norms(state):
+    """(primary, dual) norms of the state's r and g; nan where not kept."""
+    return tuple(math.nan if v is None else float(np.linalg.norm(v)) for v in (state.r, state.g))
 
 
 def converged(state, problem, caches, config):
-    """Fresh evaluation of the stopping criteria for the state's method."""
+    """The stopping criteria for the state's method, on its r and g.
+
+    The caller refreshes the state first, so r and g are the fresh
+    residuals of x and z rather than the incrementally maintained ones.
+    """
     method = METHODS[state.kind]
     tol = config.tol
     frob_sq = caches.norms.frob_sq
     frob = math.sqrt(frob_sq)
-    primary, dual = _residual_norms(state, problem)
+    primary, dual = _residual_norms(state)
     if not method.rows:
         z_norm = float(np.linalg.norm(state.z))
         return z_norm == 0.0 or dual <= tol * frob_sq * z_norm
@@ -440,13 +434,13 @@ def solve(kind, problem, config=None, seed=0):
         if state.k % check_every == 0 or state.k == max_iters:
             state.refresh(problem)
             if config.track_history:
-                history.append((state.k, *_residual_norms(state, problem), _current_rse(state, problem)))
+                history.append((state.k, *_residual_norms(state), _current_rse(state, problem)))
             if converged(state, problem, caches, config):
                 done = True
                 break
     wall = time.perf_counter() - t0
-    state.refresh(problem)
-    primary, dual = _residual_norms(state, problem)
+    # The loop ends on a check, and the initial r and g are already fresh.
+    primary, dual = _residual_norms(state)
     final_rse = _current_rse(state, problem)
     return RunRecord(
         kind=kind,

@@ -107,6 +107,8 @@ def compute_constants(A, cache, sample=None, seed=0):
     result approximate.
     """
     m, n = A.shape
+    if sample is not None and sample < 2:
+        raise ValueError(f"sample must be at least 2 lines to hold a pair, got {sample}")
     if sample is None and (m > PAIRWISE_CAP or n > PAIRWISE_CAP):
         raise ConstantsTooLargeError(
             f"{m}x{n} exceeds the {PAIRWISE_CAP} pairwise-scan cap; "

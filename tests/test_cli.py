@@ -1,11 +1,14 @@
 import csv
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from rekbench import cli, linalg
 from rekbench.cli import main
 from rekbench.problems import load_problem
+from rekbench.solvers import solve
 
 
 def run(capsys, *argv):
@@ -172,18 +175,37 @@ def test_bench_jobs_matches_serial(capsys, tmp_path):
     results = []
     for jobs, name in (("1", "s.csv"), ("4", "p.csv")):
         out_csv = str(tmp_path / name)
-        code, _, _ = run(
+        code, _, err = run(
             capsys,
             "bench", "--methods", "GREK,SREK", "--problems", path,
             "--trials", "2", "--jobs", jobs, "--out", out_csv,
         )
         assert code == 0
+        assert err == ("" if jobs == "1" else "warning: --jobs ignored; bench runs cells in order\n")
         with open(out_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
             row.pop("wall_time_ms")
         results.append(rows)
     assert results[0] == results[1]
+
+
+def test_bench_solves_every_cell_in_calling_thread(capsys, tmp_path, monkeypatch):
+    path = gen_bundle(capsys, tmp_path)
+    threads = []
+
+    def recording_solve(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve", recording_solve)
+    code, _, _ = run(
+        capsys,
+        "bench", "--methods", "GREK,SREK", "--problems", path,
+        "--trials", "3", "--jobs", "2", "--out", str(tmp_path / "r.csv"),
+    )
+    assert code == 0
+    assert threads == [threading.get_ident()] * 6
 
 
 def test_bench_config_file(capsys, tmp_path):
@@ -233,6 +255,71 @@ def test_constants_output(capsys, tmp_path):
 def test_constants_needs_exactly_one_source(capsys, tmp_path):
     code, _, _ = run(capsys, "constants")
     assert code == 1
+
+
+def assert_usage_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [("--trials", "0"), ("--steps", "0"), ("--steps", "-2")])
+def test_verify_without_measurements_is_usage_error(capsys, tmp_path, extra):
+    path = gen_bundle(capsys, tmp_path)
+    assert_usage_error(*run(capsys, "verify", "--problem", path, *extra))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gaussian", "--m", "0", "--n", "4"),
+        ("tomo", "--side", "3", "--angles", "4", "--detectors", "4"),
+        ("tomo", "--side", "8", "--angles", "0", "--detectors", "8"),
+        ("tomo", "--side", "8", "--angles", "4", "--detectors", "0"),
+    ],
+)
+def test_gen_out_of_range_size_is_usage_error(capsys, tmp_path, argv):
+    out_dir = tmp_path / "bundle"
+    assert_usage_error(*run(capsys, "gen", *argv, "--seed", "1", "--out", str(out_dir)))
+    assert not out_dir.exists()
+
+
+def test_gen_tomo_beyond_oracle_cap_is_io_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(linalg, "ORACLE_MAX_COLS", 10)
+    code, out, err = run(
+        capsys, "gen", "tomo", "--side", "4", "--angles", "4", "--detectors", "4",
+        "--seed", "1", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "oracle cap" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["gen", "constants"])
+def test_matrix_market_parse_error_is_io_error(capsys, tmp_path, command):
+    bad = str(tmp_path / "bad.mtx")
+    (tmp_path / "bad.mtx").write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n")
+    if command == "gen":
+        argv = ("gen", "from-mtx", "--path", bad, "--seed", "1", "--out", str(tmp_path / "o"))
+    else:
+        argv = ("constants", "--matrix", bad)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sample", ["-1", "0", "1"])
+def test_constants_sample_below_a_pair_is_usage_error(capsys, tmp_path, sample):
+    path = gen_bundle(capsys, tmp_path)
+    assert_usage_error(*run(capsys, "constants", "--problem", path, "--sample", sample))
+
+
+def test_constants_sample_of_two_is_accepted(capsys, tmp_path):
+    path = gen_bundle(capsys, tmp_path)
+    code, out, _ = run(capsys, "constants", "--problem", path, "--sample", "2")
+    assert code == 0
+    assert json.loads(out)["constants"]["approximate"] is True
 
 
 @pytest.mark.parametrize(

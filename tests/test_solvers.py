@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rekbench import solvers
 from rekbench.linalg import DenseMatrix, DualSparseMatrix, build_norm_cache, direct_least_squares
 from rekbench.problems import LsProblem, gen_gaussian, make_inconsistent_problem, range_split
 from rekbench.solvers import (
@@ -71,7 +72,47 @@ def test_converged_at_exact_solution():
     state = SolverState.initial(SolverKind.REK, problem, seed=0)
     state.x = problem.x_star.copy()
     state.z = problem.r.copy()
+    state.refresh(problem)
     assert converged(state, problem, caches, StopConfig(tol=1e-8))
+
+
+class CountingMatrix(DenseMatrix):
+    """A dense matrix that counts its products while counting is on."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.counting = True
+        self.calls = {"matvec": 0, "rmatvec": 0}
+
+    def matvec(self, x):
+        self.calls["matvec"] += self.counting
+        return super().matvec(x)
+
+    def rmatvec(self, z):
+        self.calls["rmatvec"] += self.counting
+        return super().rmatvec(z)
+
+
+@pytest.mark.parametrize("track_history", [False, True])
+def test_solve_forms_fresh_residuals_once_per_check(monkeypatch, track_history):
+    base = make_inconsistent_problem(gen_gaussian(40, 10, 3), 3)
+    A = CountingMatrix(base.A.values)
+    problem = LsProblem(A=A, b=base.b, x_star=base.x_star, r=base.r)
+    original_step = solvers.step
+
+    def uncounted_step(*args):
+        A.counting = False
+        try:
+            return original_step(*args)
+        finally:
+            A.counting = True
+
+    monkeypatch.setattr(solvers, "step", uncounted_step)
+    config = StopConfig(tol=1e-30, check_every=10, max_iters=100, track_history=track_history)
+    rec = solve(SolverKind.SREK, problem, config, seed=0)
+    assert rec.iters == 100 and not rec.converged
+    # One A x and one A^T z per check; the initial g = A^T b is the extra rmatvec.
+    assert A.calls == {"matvec": 10, "rmatvec": 11}
 
 
 def test_converged_at_zero_x_scales_by_b():
