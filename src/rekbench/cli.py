@@ -220,6 +220,23 @@ def _cmd_solve(args):
     return EXIT_OK
 
 
+def _setting(spec, args, key, kind):
+    """spec[key] as kind (int or float), else the --key flag's value.
+
+    A config value must be a JSON number (an integer for int), or null
+    where the flag defaults to None; anything else is a usage error.
+    """
+    if key not in spec:
+        return getattr(args, key)
+    value = spec[key]
+    if value is None and getattr(args, key) is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
+        noun = "a number" if kind is float else "an integer"
+        raise _UsageFailure(f"config {key} must be {noun}, got {json.dumps(value)}")
+    return kind(value)
+
+
 def _cmd_bench(args):
     spec = {}
     if args.config:
@@ -228,19 +245,25 @@ def _cmd_bench(args):
                 spec = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise _IoFailure(str(exc)) from exc
+        if not isinstance(spec, dict):
+            raise _UsageFailure("bench config must be a JSON object")
+        for key in ("methods", "problems"):
+            names = spec.get(key, [])
+            if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+                raise _UsageFailure(f"config {key} must be a list of strings")
     methods = spec.get("methods") or (args.methods.split(",") if args.methods else None)
     problems = spec.get("problems") or (args.problems.split(",") if args.problems else None)
     if not methods or not problems:
         raise _UsageFailure("bench needs --methods and --problems (or a config file)")
     kinds = [_parse_kind(name.strip()) for name in methods]
-    trials = _at_least_one("trials", int(spec.get("trials", args.trials)))
-    base_seed = int(spec.get("seed", args.seed))
+    trials = _at_least_one("trials", _setting(spec, args, "trials", int))
+    base_seed = _setting(spec, args, "seed", int)
     config = _checked(
         StopConfig,
-        tol=float(spec.get("tol", args.tol)),
-        check_every=spec.get("check_every", args.check_every),
-        max_iters=spec.get("max_iters", args.max_iters),
-        fraction=float(spec.get("fraction", args.fraction)),
+        tol=_setting(spec, args, "tol", float),
+        check_every=_setting(spec, args, "check_every", int),
+        max_iters=_setting(spec, args, "max_iters", int),
+        fraction=_setting(spec, args, "fraction", float),
     )
     if args.jobs != 1:
         print("warning: --jobs ignored; bench runs cells in order", file=sys.stderr)

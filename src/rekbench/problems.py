@@ -11,6 +11,7 @@ JSON metadata.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -165,6 +166,15 @@ def read_matrix_market(path):
     size_line_no = no
     parts = lines[size_line_no - 1].split()
 
+    def _value(word, ln):
+        try:
+            v = float(word)
+        except ValueError:
+            raise MatrixMarketError(f"malformed value {word!r}", ln) from None
+        if not math.isfinite(v):
+            raise MatrixMarketError(f"non-finite value {word!r}", ln)
+        return v
+
     def _entries():
         for ln in range(size_line_no + 1, len(lines) + 1):
             text = lines[ln - 1].strip()
@@ -178,19 +188,28 @@ def read_matrix_market(path):
             m, n, nnz = (int(p) for p in parts)
         except ValueError:
             raise MatrixMarketError("non-integer size line", size_line_no) from None
+        if m < 1 or n < 1 or nnz < 0:
+            raise MatrixMarketError(
+                f"size {m} {n} {nnz}: need rows, cols >= 1 and nnz >= 0", size_line_no
+            )
         ii, jj, vv = [], [], []
+        seen = set()
         count = 0
         for ln, words in _entries():
             if len(words) != 3:
                 raise MatrixMarketError("coordinate entry needs 'i j value'", ln)
             try:
-                i, j, v = int(words[0]), int(words[1]), float(words[2])
+                i, j = int(words[0]), int(words[1])
             except ValueError:
                 raise MatrixMarketError("malformed coordinate entry", ln) from None
+            v = _value(words[2], ln)
             if not (1 <= i <= m and 1 <= j <= n):
                 raise MatrixMarketError(f"index ({i}, {j}) out of range for {m}x{n}", ln)
             if sym == "symmetric" and j > i:
                 raise MatrixMarketError("symmetric entry above the diagonal", ln)
+            if (i, j) in seen:
+                raise MatrixMarketError(f"duplicate entry ({i}, {j})", ln)
+            seen.add((i, j))
             ii.append(i - 1)
             jj.append(j - 1)
             vv.append(v)
@@ -209,14 +228,10 @@ def read_matrix_market(path):
         m, n = (int(p) for p in parts)
     except ValueError:
         raise MatrixMarketError("non-integer size line", size_line_no) from None
+    if m < 1 or n < 1:
+        raise MatrixMarketError(f"size {m} {n}: need rows, cols >= 1", size_line_no)
     expected = m * n if sym == "general" else m * (m + 1) // 2
-    vals = []
-    for ln, words in _entries():
-        for w in words:
-            try:
-                vals.append(float(w))
-            except ValueError:
-                raise MatrixMarketError(f"malformed value {w!r}", ln) from None
+    vals = [_value(w, ln) for ln, words in _entries() for w in words]
     if len(vals) != expected:
         raise MatrixMarketError(f"expected {expected} values, found {len(vals)}", len(lines))
     out = np.empty((m, n))

@@ -59,17 +59,16 @@ class Method:
     """How a kind picks lines, and on which axes it steps.
 
     rule is one of norm (draw by squared norm), norm_sample (norm draws from
-    a simple random sample), greedy (draw from the greedy index set), argmax
-    (largest score) and top_sample (largest scores in a sample); pair picks
-    two lines per axis.  fraction is the sample size of the sample rules:
-    None means StopConfig.fraction.
+    a simple random sample of StopConfig.fraction of the axis), greedy (draw
+    from the greedy index set), argmax (largest score) and top_sample
+    (largest scores in a sample, always a pair); pair picks two distinct
+    lines per axis.
     """
 
     rule: str
     pair: bool
     rows: bool  # steps x against r = b - z - Ax (or b - Ax without z)
     cols: bool  # steps z against g = A^T z
-    fraction: float | None = None
 
     @property
     def axes(self):
@@ -79,7 +78,7 @@ class Method:
 K = SolverKind
 METHODS = {
     K.REK: Method("norm", pair=False, rows=True, cols=True),
-    K.TREK_ALT: Method("norm_sample", pair=True, rows=True, cols=True, fraction=1.0),
+    K.TREK_ALT: Method("norm", pair=True, rows=True, cols=True),
     K.TREKS: Method("norm_sample", pair=True, rows=True, cols=True),
     K.GREK: Method("greedy", pair=False, rows=True, cols=True),
     K.SREK: Method("argmax", pair=False, rows=True, cols=True),
@@ -94,17 +93,14 @@ METHODS = {
     K.GPROJ: Method("greedy", pair=False, rows=False, cols=True),
     K.SPROJ: Method("argmax", pair=False, rows=False, cols=True),
 }
+_NORM_RULES = ("norm", "norm_sample")
 _SAMPLE_RULES = ("norm_sample", "top_sample")
 
 EXTENDED_KINDS = frozenset(k for k, m in METHODS.items() if m.rows and m.cols)
 CONSISTENT_KINDS = frozenset(k for k, m in METHODS.items() if not m.cols)
 PROJECTION_KINDS = frozenset(k for k, m in METHODS.items() if not m.rows)
 # The kinds that read StopConfig.fraction.
-SAMPLING_KINDS = frozenset(
-    k for k, m in METHODS.items() if m.rule in _SAMPLE_RULES and m.fraction is None
-)
-
-_REDRAW_TRIES = 50
+SAMPLING_KINDS = frozenset(k for k, m in METHODS.items() if m.rule in _SAMPLE_RULES)
 
 
 @dataclass
@@ -222,30 +218,16 @@ def rse(x, x_star):
 # Selection (row and column halves share the same shapes)
 
 
-def _pick_two_distinct(pick, singleton):
-    """Two distinct draws from pick(); None second index if impossible."""
-    i1 = pick()
-    if singleton:
-        return i1, None
-    for _ in range(_REDRAW_TRIES):
-        i2 = pick()
-        if i2 != i1:
-            return i1, i2
-    return i1, None
+def _draw_pair(pick, domain, pair):
+    """(i1, i2) with i2 drawn from the rest of domain; i2 None for one line.
 
-
-def _sampled_lines(method, sq_norms, rng, config):
-    """The nonzero-norm lines of a simple random sample of one axis.
-
-    An axis with one line is its own sample, so it takes a 1-D step.
+    pick(d) draws one index from the index array d.  Drawing the second
+    line from domain without i1 gives the law of redrawing until distinct.
     """
-    population = len(sq_norms)
-    if population == 1:
-        indices = np.zeros(1, dtype=np.intp)
-    else:
-        fraction = config.fraction if method.fraction is None else method.fraction
-        indices = simple_random_sample(population, fraction, rng).indices
-    return indices[sq_norms[indices] > 0]
+    i1 = pick(domain)
+    if not pair or domain.size == 1:
+        return i1, None
+    return i1, pick(domain[domain != i1])
 
 
 def _select(method, axis, state, caches, config):
@@ -254,40 +236,40 @@ def _select(method, axis, state, caches, config):
     axis 'row' scores the maintained r against row norms; axis 'column'
     scores the maintained g = A^T z against column norms.
     """
-    norms = caches.norms
     if axis == "row":
-        residual, sq_norms, nonzero = state.r, norms.row_sq_norms, caches.nonzero_rows
+        residual, sq_norms, nonzero = state.r, caches.norms.row_sq_norms, caches.nonzero_rows
     else:
-        residual, sq_norms, nonzero = state.g, norms.col_sq_norms, caches.nonzero_cols
+        residual, sq_norms, nonzero = state.g, caches.norms.col_sq_norms, caches.nonzero_cols
     if nonzero.size == 0:
         return None
-    rule = method.rule
-    if rule == "norm":
-        return weighted_pick_norms(norms, nonzero, axis, state.rng), None
-
-    if rule != "norm_sample":
+    rule, pair, rng = method.rule, method.pair, state.rng
+    if rule not in _NORM_RULES:
         # The other rules score the residual; a zero residual means no-op.
-        s = scores_from_residual(residual, sq_norms, axis)
-        if s.total_sq <= 0.0 or s.scores.max() <= 0.0:
+        residual_sq, scores = scores_from_residual(residual, sq_norms)
+        argmax = int(np.argmax(scores))
+        if scores[argmax] <= 0.0:
             return None
-    if rule == "greedy":
-        eps = greedy_threshold(s, norms.frob_sq)
-        index_set = build_index_set(s, eps, norms)
-        pick = lambda: weighted_pick(s, index_set, state.rng)
-        return _pick_two_distinct(pick, not method.pair or index_set.size == 1)
+        if rule == "greedy":
+            total_sq = float(residual_sq.sum())
+            bound = greedy_threshold(scores[argmax], total_sq, caches.norms.frob_sq) * total_sq
+            index_set = build_index_set(residual_sq, sq_norms, bound, argmax)
+            return _draw_pair(lambda d: weighted_pick(residual_sq, d, rng), index_set, pair)
+        if not pair:
+            return argmax, None
 
-    domain = nonzero if rule == "argmax" else _sampled_lines(method, sq_norms, state.rng, config)
-    if domain.size == 0:
-        return None
+    domain = nonzero
+    if rule in _SAMPLE_RULES:
+        # An axis with one line is its own sample, so it takes a 1-D step.
+        if sq_norms.size > 1:
+            domain = simple_random_sample(sq_norms.size, config.fraction, rng)
+        domain = domain[sq_norms[domain] > 0]
+        if domain.size == 0:
+            return None
+    if rule in _NORM_RULES:
+        return _draw_pair(lambda d: weighted_pick_norms(sq_norms, d, rng), domain, pair)
     if domain.size == 1:
         return int(domain[0]), None
-    if rule == "norm_sample":
-        return _pick_two_distinct(
-            lambda: weighted_pick_norms(norms, domain, axis, state.rng), False
-        )
-    if not method.pair:
-        return int(domain[np.argmax(s.scores[domain])]), None
-    return top_two(s, domain)
+    return top_two(scores, domain)
 
 
 # ---------------------------------------------------------------------------

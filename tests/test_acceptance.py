@@ -197,14 +197,16 @@ def test_criterion_8_greedy_set_nonempty_10k():
         sq_norms = g.random(size) * 10.0 ** g.integers(-6, 7)
         if g.random() < 0.1:
             sq_norms[g.integers(size)] = 0.0
-        s = scores_from_residual(residual, sq_norms, "row")
-        if s.total_sq <= 0 or s.scores.max() <= 0:
+        residual_sq, scores = scores_from_residual(residual, sq_norms)
+        total_sq = float(residual_sq.sum())
+        if total_sq <= 0 or scores.max() <= 0:
             continue
         cache = build_norm_cache(DenseMatrix(np.sqrt(sq_norms)[:, None]))
-        eps = greedy_threshold(s, cache.frob_sq)
-        index_set = build_index_set(s, eps, cache)
+        argmax = int(np.argmax(scores))
+        eps = greedy_threshold(scores[argmax], total_sq, cache.frob_sq)
+        index_set = build_index_set(residual_sq, cache.row_sq_norms, eps * total_sq, argmax)
         assert index_set.size > 0, "empty greedy set"
-        assert int(np.argmax(s.scores)) in index_set, "argmax not in greedy set"
+        assert argmax in index_set, "argmax not in greedy set"
         checked += 1
     print("\n[PASS] criterion 8: 10000 random score states, greedy set nonempty with argmax")
 

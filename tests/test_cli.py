@@ -219,6 +219,41 @@ def test_bench_config_file(capsys, tmp_path):
         assert len(list(csv.DictReader(fh))) == 2
 
 
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"trials": "x"},
+        {"check_every": "5"},
+        {"tol": "abc"},
+        {"max_iters": 2.5},
+        [1, 2],
+        {"methods": 5},
+        {"problems": [1]},
+    ],
+)
+def test_bench_config_bad_value_is_usage_error(capsys, tmp_path, settings):
+    path = gen_bundle(capsys, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    if isinstance(settings, dict):
+        settings = {"methods": ["SREK"], "problems": [path], **settings}
+    cfg.write_text(json.dumps(settings))
+    out_csv = tmp_path / "res.csv"
+    code, out, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
+def test_bench_config_numbers_and_nulls_are_accepted(capsys, tmp_path):
+    path = gen_bundle(capsys, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    settings = {"tol": 1, "fraction": 1, "check_every": None, "max_iters": None, "seed": 3}
+    cfg.write_text(json.dumps({"methods": ["TREKS"], "problems": [path], "trials": 1, **settings}))
+    code, _, err = run(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "res.csv"))
+    assert code == 0, err
+
+
 def test_bench_usage_error_without_methods(capsys, tmp_path):
     code, _, _ = run(capsys, "bench", "--out", str(tmp_path / "r.csv"))
     assert code == 1
@@ -307,6 +342,31 @@ def test_matrix_market_parse_error_is_io_error(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 3: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "coordinate real general\n-1 2 0\n",
+        "coordinate real general\n2 2 1\n1 1 nan\n",
+        "coordinate real general\n2 2 2\n1 1 1.0\n1 1 2.0\n",
+        "array real general\n0 3\n",
+    ],
+)
+@pytest.mark.parametrize("command", ["gen", "constants"])
+def test_matrix_market_invalid_content_is_io_error(capsys, tmp_path, command, text):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix " + text)
+    out_dir = tmp_path / "o"
+    if command == "gen":
+        argv = ("gen", "from-mtx", "--path", str(bad), "--seed", "1", "--out", str(out_dir))
+    else:
+        argv = ("constants", "--matrix", str(bad))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line ") and err.count("\n") == 1
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("sample", ["-1", "0", "1"])

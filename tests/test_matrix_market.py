@@ -87,6 +87,55 @@ def test_malformed_entry_line_number(tmp_path):
     assert exc.value.line_no == 4
 
 
+COORD = "%%MatrixMarket matrix coordinate real general\n"
+ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize(
+    "text, line_no",
+    [
+        (COORD + "-1 2 0\n", 2),  # rows below 1
+        (COORD + "2 0 0\n", 2),  # cols below 1
+        (COORD + "2 2 -1\n", 2),  # nnz below 0
+        (ARRAY + "0 3\n", 2),  # array rows below 1
+        (ARRAY + "2 0\n", 2),  # array cols below 1
+    ],
+)
+def test_size_line_out_of_range(tmp_path, text, line_no):
+    with pytest.raises(MatrixMarketError) as exc:
+        read_matrix_market(write(tmp_path, text))
+    assert exc.value.line_no == line_no
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_coordinate_value(tmp_path, value):
+    path = write(tmp_path, COORD + f"2 2 2\n1 1 1.0\n2 2 {value}\n")
+    with pytest.raises(MatrixMarketError) as exc:
+        read_matrix_market(path)
+    assert exc.value.line_no == 4
+
+
+def test_non_finite_array_value(tmp_path):
+    path = write(tmp_path, ARRAY + "2 1\n3\nnan\n")
+    with pytest.raises(MatrixMarketError) as exc:
+        read_matrix_market(path)
+    assert exc.value.line_no == 4
+
+
+def test_duplicate_coordinate_entry(tmp_path):
+    path = write(tmp_path, COORD + "2 2 3\n1 1 1.0\n2 2 2.0\n1 1 3.0\n")
+    with pytest.raises(MatrixMarketError) as exc:
+        read_matrix_market(path)
+    assert exc.value.line_no == 5
+
+
+def test_duplicate_symmetric_entry(tmp_path):
+    path = write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 1.0\n2 1 1.0\n")
+    with pytest.raises(MatrixMarketError) as exc:
+        read_matrix_market(path)
+    assert exc.value.line_no == 4
+
+
 def random_sparse(m, n, seed, empty_row=None, empty_col=None):
     g = np.random.Generator(np.random.Philox(seed))
     nnz = max(1, (m * n) // 4)

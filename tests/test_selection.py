@@ -24,28 +24,37 @@ def rng(seed=0):
 def row_scores(A, cache, x, b, z=None):
     """Scores of the shifted residual b - z - Ax against row norms."""
     res = b - A.matvec(x) if z is None else b - z - A.matvec(x)
-    return scores_from_residual(res, cache.row_sq_norms, "row")
+    return scores_from_residual(res, cache.row_sq_norms)
 
 
 def col_scores(A, cache, z):
     """Scores of A^T z against column norms."""
-    return scores_from_residual(A.rmatvec(z), cache.col_sq_norms, "column")
+    return scores_from_residual(A.rmatvec(z), cache.col_sq_norms)
+
+
+def greedy_set(s, cache):
+    """The greedy index set of (residual_sq, scores) against row norms."""
+    residual_sq, scores = s
+    total_sq = float(residual_sq.sum())
+    argmax = int(np.argmax(scores))
+    eps = greedy_threshold(scores[argmax], total_sq, cache.frob_sq)
+    return build_index_set(residual_sq, cache.row_sq_norms, eps * total_sq, argmax)
 
 
 def test_row_scores_identity():
     A = DenseMatrix(np.eye(2))
     cache = build_norm_cache(A)
-    s = row_scores(A, cache, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2))
-    assert np.array_equal(s.scores, [1.0, 0.0])
-    assert s.total_sq == 1.0
+    residual_sq, scores = row_scores(A, cache, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2))
+    assert np.array_equal(scores, [1.0, 0.0])
+    assert residual_sq.sum() == 1.0
 
 
 def test_row_scores_zero_at_solution():
     A = DenseMatrix([[1.0, 2.0], [3.0, 1.0]])
     cache = build_norm_cache(A)
     x = np.array([1.0, -1.0])
-    s = row_scores(A, cache, x, A.matvec(x))
-    assert np.allclose(s.scores, 0.0)
+    _, scores = row_scores(A, cache, x, A.matvec(x))
+    assert np.allclose(scores, 0.0)
 
 
 def test_row_scores_naive_loop():
@@ -54,22 +63,22 @@ def test_row_scores_naive_loop():
     A = DenseMatrix(vals)
     cache = build_norm_cache(A)
     x, b, z = g.standard_normal(3), g.standard_normal(6), g.standard_normal(6)
-    s = row_scores(A, cache, x, b, z)
+    _, scores = row_scores(A, cache, x, b, z)
     for i in range(6):
         res = b[i] - z[i] - vals[i] @ x
-        assert s.scores[i] == pytest.approx(res**2 / (vals[i] @ vals[i]))
+        assert scores[i] == pytest.approx(res**2 / (vals[i] @ vals[i]))
 
 
 def test_col_scores_identity():
     A = DenseMatrix(np.eye(2))
-    s = col_scores(A, build_norm_cache(A), np.array([0.0, 3.0]))
-    assert np.array_equal(s.scores, [0.0, 9.0])
+    _, scores = col_scores(A, build_norm_cache(A), np.array([0.0, 3.0]))
+    assert np.array_equal(scores, [0.0, 9.0])
 
 
 def test_col_scores_perp_range():
     A = DenseMatrix([[1.0], [0.0]])
-    s = col_scores(A, build_norm_cache(A), np.array([0.0, 5.0]))
-    assert np.allclose(s.scores, 0.0)
+    _, scores = col_scores(A, build_norm_cache(A), np.array([0.0, 5.0]))
+    assert np.allclose(scores, 0.0)
 
 
 def test_col_scores_naive_loop():
@@ -77,91 +86,89 @@ def test_col_scores_naive_loop():
     vals = g.standard_normal((6, 3))
     A = DenseMatrix(vals)
     z = g.standard_normal(6)
-    s = col_scores(A, build_norm_cache(A), z)
+    _, scores = col_scores(A, build_norm_cache(A), z)
     for j in range(3):
-        assert s.scores[j] == pytest.approx((vals[:, j] @ z) ** 2 / (vals[:, j] @ vals[:, j]))
+        assert scores[j] == pytest.approx((vals[:, j] @ z) ** 2 / (vals[:, j] @ vals[:, j]))
 
 
 def test_zero_norm_rows_scored_zero():
     A = DenseMatrix([[0.0, 0.0], [1.0, 1.0]])
     cache = build_norm_cache(A)
-    s = row_scores(A, cache, np.zeros(2), np.array([5.0, 1.0]))
-    assert s.scores[0] == 0.0
-    assert s.scores[1] > 0
+    _, scores = row_scores(A, cache, np.zeros(2), np.array([5.0, 1.0]))
+    assert scores[0] == 0.0
+    assert scores[1] > 0
 
 
 def test_greedy_threshold_hand_value():
     A = DenseMatrix(np.eye(2))
-    s = col_scores(A, build_norm_cache(A), np.array([1.0, 0.0]))
-    assert greedy_threshold(s, 2.0) == pytest.approx(0.75)
+    residual_sq, scores = col_scores(A, build_norm_cache(A), np.array([1.0, 0.0]))
+    assert greedy_threshold(scores.max(), residual_sq.sum(), 2.0) == pytest.approx(0.75)
 
 
 def test_greedy_threshold_uniform():
     m = 5
-    s = scores_from_residual(np.ones(m), np.ones(m), "row")
-    assert greedy_threshold(s, float(m)) == pytest.approx(1.0 / m)
+    residual_sq, scores = scores_from_residual(np.ones(m), np.ones(m))
+    assert greedy_threshold(scores.max(), residual_sq.sum(), float(m)) == pytest.approx(1.0 / m)
 
 
 def test_greedy_threshold_formula_oracle():
     g = rng(4)
     res = g.standard_normal(8)
     norms = g.random(8) + 0.5
-    s = scores_from_residual(res, norms, "row")
+    residual_sq, scores = scores_from_residual(res, norms)
     frob = norms.sum()
     expected = 0.5 * ((res**2 / norms).max() / np.sum(res**2) + 1.0 / frob)
-    assert greedy_threshold(s, frob) == pytest.approx(expected, rel=1e-12)
+    assert greedy_threshold(scores.max(), residual_sq.sum(), frob) == pytest.approx(expected, rel=1e-12)
 
 
 def test_greedy_threshold_converged_signal():
-    s = scores_from_residual(np.zeros(3), np.ones(3), "row")
+    residual_sq, scores = scores_from_residual(np.zeros(3), np.ones(3))
     with pytest.raises(AlreadyConverged):
-        greedy_threshold(s, 3.0)
+        greedy_threshold(scores.max(), residual_sq.sum(), 3.0)
 
 
 def test_build_index_set_argmax_only():
     A = DenseMatrix(np.eye(2))
     cache = build_norm_cache(A)
     s = row_scores(A, cache, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2))
-    eps = greedy_threshold(s, cache.frob_sq)
-    assert build_index_set(s, eps, cache).tolist() == [0]
+    assert greedy_set(s, cache).tolist() == [0]
 
 
 def test_build_index_set_uniform_everything():
     A = DenseMatrix(np.eye(4))
     cache = build_norm_cache(A)
     s = row_scores(A, cache, np.zeros(4), np.ones(4), np.zeros(4))
-    eps = greedy_threshold(s, cache.frob_sq)
-    assert build_index_set(s, eps, cache).tolist() == [0, 1, 2, 3]
+    assert greedy_set(s, cache).tolist() == [0, 1, 2, 3]
 
 
 def test_build_index_set_hand_case():
     # scores (4, 1, 1) on unit-norm rows: eps = (4/6 + 1/3)/2 = 1/2, set {0}.
     cache = build_norm_cache(DenseMatrix(np.eye(3)))
-    s = scores_from_residual(np.array([2.0, 1.0, 1.0]), np.ones(3), "row")
-    eps = greedy_threshold(s, cache.frob_sq)
+    residual_sq, scores = scores_from_residual(np.array([2.0, 1.0, 1.0]), np.ones(3))
+    eps = greedy_threshold(scores.max(), residual_sq.sum(), cache.frob_sq)
     assert eps == pytest.approx(0.5)
-    assert build_index_set(s, eps, cache).tolist() == [0]
+    assert greedy_set((residual_sq, scores), cache).tolist() == [0]
 
 
 def test_weighted_pick_singleton():
-    s = scores_from_residual(np.array([0.0, 2.0]), np.ones(2), "row")
-    assert weighted_pick(s, [1], rng()) == 1
+    residual_sq, _ = scores_from_residual(np.array([0.0, 2.0]), np.ones(2))
+    assert weighted_pick(residual_sq, [1], rng()) == 1
 
 
 def test_weighted_pick_frequency():
-    s = scores_from_residual(np.array([np.sqrt(3.0), 1.0]), np.ones(2), "row")
+    residual_sq, _ = scores_from_residual(np.array([np.sqrt(3.0), 1.0]), np.ones(2))
     g = rng(7)
-    draws = sum(weighted_pick(s, [0, 1], g) == 0 for _ in range(100_000))
+    draws = sum(weighted_pick(residual_sq, [0, 1], g) == 0 for _ in range(100_000))
     assert abs(draws / 100_000 - 0.75) <= 0.01
 
 
 def test_weighted_pick_uniform_chi_square():
-    s = scores_from_residual(np.ones(3), np.ones(3), "row")
+    residual_sq, _ = scores_from_residual(np.ones(3), np.ones(3))
     g = rng(8)
     counts = np.zeros(3)
     n = 100_000
     for _ in range(n):
-        counts[weighted_pick(s, [0, 1, 2], g)] += 1
+        counts[weighted_pick(residual_sq, [0, 1, 2], g)] += 1
     chi2 = np.sum((counts - n / 3) ** 2 / (n / 3))
     assert chi2 <= 9.21  # 99% critical value, 2 degrees of freedom
 
@@ -169,14 +176,14 @@ def test_weighted_pick_uniform_chi_square():
 def test_weighted_pick_norms_frequency():
     cache = build_norm_cache(DenseMatrix(np.diag([np.sqrt(3.0), 1.0])))
     g = rng(9)
-    draws = sum(weighted_pick_norms(cache, [0, 1], "row", g) == 0 for _ in range(100_000))
+    draws = sum(weighted_pick_norms(cache.row_sq_norms, [0, 1], g) == 0 for _ in range(100_000))
     assert abs(draws / 100_000 - 0.75) <= 0.01
 
 
 def test_weighted_pick_norms_skips_zero_norm():
     cache = build_norm_cache(DenseMatrix([[0.0, 0.0], [1.0, 1.0]]))
     g = rng(10)
-    assert all(weighted_pick_norms(cache, [0, 1], "row", g) == 1 for _ in range(50))
+    assert all(weighted_pick_norms(cache.row_sq_norms, [0, 1], g) == 1 for _ in range(50))
 
 
 def test_weighted_picks_draw_as_rng_choice():
@@ -190,12 +197,12 @@ def test_weighted_picks_draw_as_rng_choice():
         w[index_set] = g.random(size) ** 3
         w[index_set[g.random(size) < 0.2]] = 0.0
         w[index_set[0]] += 1e-3  # keep the total positive
-        s = scores_from_residual(np.sqrt(w), np.ones(100), "row")
+        residual_sq, _ = scores_from_residual(np.sqrt(w), np.ones(100))
         cache = build_norm_cache(DenseMatrix(np.diag(np.sqrt(w))))
         p = w[index_set] / w[index_set].sum()
         for pick in (
-            lambda gen: weighted_pick(s, index_set, gen),
-            lambda gen: weighted_pick_norms(cache, index_set, "row", gen),
+            lambda gen: weighted_pick(residual_sq, index_set, gen),
+            lambda gen: weighted_pick_norms(cache.row_sq_norms, index_set, gen),
         ):
             mine, ref = rng(seed), rng(seed)
             for _ in range(5):
@@ -204,13 +211,13 @@ def test_weighted_picks_draw_as_rng_choice():
 
 def test_simple_random_sample_full():
     sample = simple_random_sample(7, 1.0, rng())
-    assert sample.indices.tolist() == list(range(7))
+    assert sample.tolist() == list(range(7))
 
 
 def test_simple_random_sample_paper_size():
     sample = simple_random_sample(4000, 0.01, rng(1))
-    assert sample.indices.size == 40
-    assert np.unique(sample.indices).size == 40
+    assert sample.size == 40
+    assert np.unique(sample).size == 40
 
 
 def test_simple_random_sample_frequency():
@@ -218,7 +225,7 @@ def test_simple_random_sample_frequency():
     counts = np.zeros(pop)
     g = rng(11)
     for _ in range(reps):
-        counts[simple_random_sample(pop, frac, g).indices] += 1
+        counts[simple_random_sample(pop, frac, g)] += 1
     freq = counts / reps
     sigma = np.sqrt(frac * (1 - frac) / reps)
     assert np.all(np.abs(freq - frac) <= 3 * sigma + 1e-9)
@@ -230,19 +237,19 @@ def test_simple_random_sample_degenerate():
 
 
 def test_top_two_simple():
-    s = scores_from_residual(np.sqrt([0.1, 0.9, 0.5]), np.ones(3), "row")
-    assert top_two(s, [0, 1, 2]) == (1, 2)
+    _, scores = scores_from_residual(np.sqrt([0.1, 0.9, 0.5]), np.ones(3))
+    assert top_two(scores, [0, 1, 2]) == (1, 2)
 
 
 def test_top_two_tie_rule():
-    s = scores_from_residual(np.sqrt([0.5, 0.5]), np.ones(2), "row")
-    assert top_two(s, [0, 1]) == (0, 1)
+    _, scores = scores_from_residual(np.sqrt([0.5, 0.5]), np.ones(2))
+    assert top_two(scores, [0, 1]) == (0, 1)
 
 
 def test_top_two_sort_oracle():
     g = rng(12)
     scores = g.random(100)
-    s = scores_from_residual(np.sqrt(scores), np.ones(100), "row")
+    _, s = scores_from_residual(np.sqrt(scores), np.ones(100))
     order = np.argsort(-scores, kind="stable")
     assert top_two(s, np.arange(100)) == (order[0], order[1])
 
@@ -261,11 +268,10 @@ def test_top_two_sort_oracle():
 def test_greedy_set_nonempty_property(data):
     res = np.array([d[0] for d in data])
     norms = np.array([d[1] for d in data])
-    s = scores_from_residual(res, norms, "row")
-    if s.total_sq <= 0:
+    residual_sq, scores = scores_from_residual(res, norms)
+    if residual_sq.sum() <= 0:
         return
     cache = build_norm_cache(DenseMatrix(np.sqrt(norms)[:, None]))
-    eps = greedy_threshold(s, cache.frob_sq)
-    index_set = build_index_set(s, eps, cache)
+    index_set = greedy_set((residual_sq, scores), cache)
     assert index_set.size > 0
-    assert int(np.argmax(s.scores)) in index_set
+    assert int(np.argmax(scores)) in index_set

@@ -421,3 +421,57 @@ def test_stop_config_rejects_out_of_range(settings):
 def test_stop_config_accepts_the_edges():
     config = StopConfig(fraction=1.0, check_every=1, max_iters=0)
     assert (config.fraction, config.check_every, config.max_iters) == (1.0, 1, 0)
+
+
+def _pair_counts(kind, problem, axis, draws, seed):
+    """Counts of the ordered pairs _select draws on one axis of the initial state."""
+    method = METHODS[kind]
+    caches = build_caches(problem.A, kind)
+    state = SolverState.initial(kind, problem, seed=seed)
+    counts = {}
+    for _ in range(draws):
+        i1, i2 = solvers._select(method, axis, state, caches, StopConfig())
+        counts[i1, i2] = counts.get((i1, i2), 0) + 1
+    return counts
+
+
+def _pair_chi_square(counts, weights, draws):
+    """Chi-square of ordered pair counts against p_i p_j / (1 - p_i), p = weights / sum."""
+    p = np.asarray(weights, dtype=float) / np.sum(weights)
+    chi2 = 0.0
+    for i in range(p.size):
+        for j in range(p.size):
+            if i != j:
+                expected = draws * p[i] * p[j] / (1.0 - p[i])
+                chi2 += (counts.pop((i, j), 0) - expected) ** 2 / expected
+    assert not counts, f"pairs outside the law: {counts}"
+    return chi2
+
+
+@pytest.mark.parametrize("axis", ["row", "column"])
+def test_norm_pair_law(axis):
+    weights = [5.0, 3.0, 2.0]
+    problem = LsProblem(A=DenseMatrix(np.diag(np.sqrt(weights))), b=np.ones(3))
+    draws = 20_000
+    counts = _pair_counts(SolverKind.TREK_ALT, problem, axis, draws, seed=31)
+    assert _pair_chi_square(counts, weights, draws) <= 15.09  # 99%, 5 degrees of freedom
+
+
+def test_greedy_pair_law():
+    # Unit rows with r = b at x = 0: residual_sq (4, 3.5, 3, 0, ...) over 10
+    # rows gives the greedy bound 2.525, so the index set is {0, 1, 2}.
+    weights = [4.0, 3.5, 3.0]
+    b = np.zeros(10)
+    b[:3] = np.sqrt(weights)
+    problem = LsProblem(A=DenseMatrix(np.eye(10)), b=b)
+    draws = 20_000
+    counts = _pair_counts(SolverKind.TGRK, problem, "row", draws, seed=32)
+    assert _pair_chi_square(counts, weights, draws) <= 15.09  # 99%, 5 degrees of freedom
+
+
+@pytest.mark.parametrize("axis", ["row", "column"])
+def test_norm_pair_always_distinct_on_a_dominant_line(axis):
+    # p = (1 - 1e-8, 1e-8): redrawing until distinct would almost never end.
+    problem = LsProblem(A=DenseMatrix(np.diag(np.sqrt([1e8, 1.0]))), b=np.ones(2))
+    counts = _pair_counts(SolverKind.TREK_ALT, problem, axis, 1000, seed=33)
+    assert set(counts) <= {(0, 1), (1, 0)}
