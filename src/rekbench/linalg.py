@@ -63,6 +63,14 @@ class DenseMatrix:
     def col_pair_dot(self, j1, j2):
         return float(self.col(j1) @ self.col(j2))
 
+    def row_dots(self, idx, x):
+        """(A^(i) x for i in idx), one entry of A x per index."""
+        return self.values.take(idx, axis=0) @ x
+
+    def col_dots(self, idx, z):
+        """(A_(j)^T z for j in idx), one entry of A^T z per index."""
+        return z @ self.values.take(idx, axis=1)
+
     def add_scaled_row(self, x, i, c):
         """x += c * A^(i), in place."""
         x += c * self.row(i)
@@ -173,6 +181,12 @@ class DualSparseMatrix:
         scratch[idx1] = val1
         idx2, val2 = self.col(j2)
         return float(val2 @ scratch[idx2])
+
+    def row_dots(self, idx, x):
+        return np.array([val @ x[cols] for cols, val in map(self.row, idx)])
+
+    def col_dots(self, idx, z):
+        return np.array([val @ z[rows] for rows, val in map(self.col, idx)])
 
     def add_scaled_row(self, x, i, c):
         idx, val = self.row(i)

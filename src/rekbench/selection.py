@@ -21,15 +21,19 @@ class DegenerateProblemError(ValueError):
     """Population too small to sample a distinct pair from."""
 
 
-def scores_from_residual(residual, sq_norms):
-    """(residual_sq, scores), scores = residual_sq / sq_norms (0 where the norm is 0)."""
-    residual_sq = np.square(residual)
-    scores = np.divide(
-        residual_sq,
-        sq_norms,
-        out=np.zeros_like(residual_sq),
-        where=sq_norms > 0,
-    )
+def scores_from_residual(residual, sq_norms, out=None, positive=None):
+    """(residual_sq, scores), scores = residual_sq / sq_norms (0 where the norm is 0).
+
+    out, a (residual_sq, scores) pair of buffers sized like residual whose
+    scores are 0 where the norm is 0, receives the result in place of two
+    new arrays; positive is sq_norms > 0, when the caller holds it.
+    """
+    if positive is None:
+        positive = sq_norms > 0
+    if out is None:
+        out = (None, np.zeros(np.shape(residual)))
+    residual_sq = np.square(residual, out=out[0])
+    scores = np.divide(residual_sq, sq_norms, out=out[1], where=positive)
     return residual_sq, scores
 
 
@@ -57,6 +61,39 @@ def build_index_set(residual_sq, sq_norms, bound, argmax):
     return np.flatnonzero(mask)
 
 
+def cumulative_weights(weights):
+    """The CDF of a draw proportional to weights, as rng.choice builds it."""
+    total = weights.sum()
+    if total <= 0.0:
+        raise AlreadyConverged("all selection weights are zero")
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def pick_from_cdf(cdf, rng, skip=None):
+    """Position drawn by cdf with one rng.random(), as rng.choice draws it.
+
+    skip, a position of a cdf of two or more, is left out: the uniform is
+    scaled onto the rest of [0, 1) and stepped over skip's interval, so the
+    other positions keep their relative weights.  That is the law of redrawing
+    until the draw differs from skip, with the other positions' weights
+    resolved to the absolute precision of cdf.
+    """
+    u = rng.random()
+    if skip is None:
+        return int(cdf.searchsorted(u, side="right"))
+    lo = cdf[skip - 1] if skip else 0.0
+    width = cdf[skip] - lo
+    t = u * (1.0 - width)
+    last = cdf.size - 1
+    # The clamps keep rounding at the edges of skip's interval off skip.
+    if t < lo or skip == last:
+        return min(int(cdf[:skip].searchsorted(t, side="right")), skip - 1)
+    after = int(cdf[skip + 1 :].searchsorted(t + width, side="right"))
+    return skip + 1 + min(after, last - skip - 1)
+
+
 def _draw(weights, index_set, rng):
     """One draw from index_set with probability proportional to weights.
 
@@ -65,13 +102,7 @@ def _draw(weights, index_set, rng):
     without its argument checks.
     """
     index_set = np.asarray(index_set)
-    w = weights[index_set]
-    total = w.sum()
-    if total <= 0.0:
-        raise AlreadyConverged("all selection weights are zero")
-    cdf = (w / total).cumsum()
-    cdf /= cdf[-1]
-    return int(index_set[cdf.searchsorted(rng.random(), side="right")])
+    return int(index_set[pick_from_cdf(cumulative_weights(weights[index_set]), rng)])
 
 
 def weighted_pick(residual_sq, index_set, rng):
@@ -95,11 +126,14 @@ def simple_random_sample(population, fraction, rng):
 
 
 def top_two(scores, sorted_domain):
-    """(argmax, second argmax) of scores over sorted_domain; ties -> lowest index."""
+    """(first, second) of sorted_domain by score; ties -> lowest index.
+
+    scores[k] is the score of sorted_domain[k].
+    """
     domain = np.asarray(sorted_domain)
     if domain.size < 2:
         raise DegenerateProblemError("top_two needs a domain of at least 2")
-    vals = scores[domain]
+    vals = np.array(scores, dtype=np.float64)
     first = int(np.argmax(vals))
     vals[first] = -np.inf
     return int(domain[first]), int(domain[np.argmax(vals)])

@@ -5,12 +5,17 @@ scores and the update right-hand sides are taken from the state at the
 start of the step (the column update uses the pre-step z, and the row
 update right-hand side b_i - z_i uses the pre-step z as well).
 
-The shifted residual b - z - Ax and the dual residual A^T z are maintained
-incrementally and recomputed fresh at every convergence check to flush
-drift.  Each row or column step changes x by dx (or z by dz) and updates
-the other axis's residual once: from two rows of the cached Gram matrix
-when that axis is the shorter one of a dense A, else with one product
-A @ dx or A^T @ dz.
+A kind keeps the shifted residual r = b - z - Ax of its row axis, or the
+dual residual g = A^T z of its column axis, up to date only where it pays:
+when its rule reads the whole axis (greedy, argmax), or when the cached
+Gram matrix of that axis, the shorter one of a dense A, updates it from
+two of its rows in O(min(m, n)).  Otherwise a step forms just the entries
+it reads from x and z: r_i = b_i - z_i - a_i x for the drawn or sampled
+rows, g_j = a_j^T z for the drawn or sampled columns.  So the norm rules
+(REK, TREK_ALT, TREKS, RK, TRKS) and the sampled top rule (TSREKS, TSRKS)
+pay per step for the lines they draw or sample, not for a product with A.
+Every convergence check recomputes r and g from x and z, which also
+flushes drift.
 """
 
 from __future__ import annotations
@@ -25,9 +30,11 @@ import numpy as np
 from . import rng as rngmod
 from .linalg import build_norm_cache
 from .selection import (
-    scores_from_residual,
     build_index_set,
+    cumulative_weights,
     greedy_threshold,
+    pick_from_cdf,
+    scores_from_residual,
     simple_random_sample,
     top_two,
     weighted_pick,
@@ -93,7 +100,9 @@ METHODS = {
     K.GPROJ: Method("greedy", pair=False, rows=False, cols=True),
     K.SPROJ: Method("argmax", pair=False, rows=False, cols=True),
 }
-_NORM_RULES = ("norm", "norm_sample")
+# The rules that read the whole residual of an axis; the others read the
+# lines they draw or sample.
+_WHOLE_AXIS_RULES = ("greedy", "argmax")
 _SAMPLE_RULES = ("norm_sample", "top_sample")
 
 EXTENDED_KINDS = frozenset(k for k, m in METHODS.items() if m.rows and m.cols)
@@ -112,6 +121,8 @@ class StopConfig:
     fraction: float = 0.01  # sampling fraction for the *S methods
 
     def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.check_every is not None and self.check_every < 1:
@@ -120,38 +131,46 @@ class StopConfig:
             raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
 
 
+class AxisCache:
+    """What selection and steps read along one axis (rows or columns) of A."""
+
+    def __init__(self, sq_norms, gram=None):
+        self.sq_norms = sq_norms
+        self.gram = gram  # A A^T for rows, A^T A for columns: updates the residual
+        self.positive = sq_norms > 0
+        self.nonzero = np.flatnonzero(self.positive)
+        # The norm rule's draw over nonzero, built once.
+        self.cdf = cumulative_weights(sq_norms[self.nonzero]) if self.nonzero.size else None
+        # Buffers the greedy and argmax rules score into, step after step.
+        self.residual_sq = np.empty_like(sq_norms)
+        self.scores = np.zeros_like(sq_norms)
+
+
 @dataclass
 class ProblemCaches:
     norms: object
-    nonzero_rows: np.ndarray
-    nonzero_cols: np.ndarray
-    row_gram: np.ndarray | None = None  # A A^T, updates r after a row step
-    col_gram: np.ndarray | None = None  # A^T A, updates g after a column step
+    rows: AxisCache
+    cols: AxisCache
 
 
 def build_caches(A, kind=None) -> ProblemCaches:
     """Norms of A, plus for a dense A the Gram matrix of its shorter axis.
 
-    The Gram matrix is built only when kind maintains that axis's residual
-    (r for the row axis, g for the column axis), so it costs at most one
-    more copy of A.  The longer axis always uses one product per step.
+    The Gram matrix is built only when kind steps on that axis, which then
+    keeps its residual (r for rows, g for columns) at O(min(m, n)) per
+    step; it costs at most one more copy of A.  The longer axis has none.
     """
     norms = build_norm_cache(A)
-    caches = ProblemCaches(
-        norms=norms,
-        nonzero_rows=np.flatnonzero(norms.row_sq_norms > 0),
-        nonzero_cols=np.flatnonzero(norms.col_sq_norms > 0),
-    )
-    if kind is None or A.is_sparse:
-        return caches
-    method = METHODS[SolverKind(kind)]
-    values = A.values
-    if A.cols <= A.rows:
-        if method.cols:
-            caches.col_gram = values.T @ values
-    elif method.rows:
-        caches.row_gram = values @ values.T
-    return caches
+    rows, cols = AxisCache(norms.row_sq_norms), AxisCache(norms.col_sq_norms)
+    if kind is not None and not A.is_sparse:
+        method = METHODS[SolverKind(kind)]
+        values = A.values
+        if A.cols <= A.rows:
+            if method.cols:
+                cols.gram = values.T @ values
+        elif method.rows:
+            rows.gram = values @ values.T
+    return ProblemCaches(norms, rows, cols)
 
 
 @dataclass
@@ -218,6 +237,32 @@ def rse(x, x_star):
 # Selection (row and column halves share the same shapes)
 
 
+def _keeps(method, ax):
+    """Whether the method keeps the residual of axis ax up to date.
+
+    It does when its rule reads the whole residual, or when the Gram matrix
+    of ax makes the upkeep O(min(m, n)) per step.  Otherwise a step forms
+    only the entries it reads, from x and z.
+    """
+    return method.rule in _WHOLE_AXIS_RULES or ax.gram is not None
+
+
+def _entries(method, axis, state, problem, caches, idx):
+    """Entries idx (an index array) of r for axis 'row', of g = A^T z for 'column'.
+
+    A kept residual is read; otherwise r_i = b_i - z_i - a_i x (b_i - a_i x
+    without z) and g_j = a_j^T z are formed from the current x and z.
+    """
+    if axis == "row":
+        if _keeps(method, caches.rows):
+            return state.r[idx]
+        b = problem.b[idx]
+        return (b if state.z is None else b - state.z[idx]) - problem.A.row_dots(idx, state.x)
+    if _keeps(method, caches.cols):
+        return state.g[idx]
+    return problem.A.col_dots(idx, state.z)
+
+
 def _draw_pair(pick, domain, pair):
     """(i1, i2) with i2 drawn from the rest of domain; i2 None for one line.
 
@@ -230,23 +275,30 @@ def _draw_pair(pick, domain, pair):
     return i1, pick(domain[domain != i1])
 
 
-def _select(method, axis, state, caches, config):
+def _select(method, axis, state, problem, caches, config):
     """Chosen (first, second-or-None) indices along one axis, or None to skip.
 
-    axis 'row' scores the maintained r against row norms; axis 'column'
-    scores the maintained g = A^T z against column norms.
+    axis 'row' scores r against row norms; axis 'column' scores g = A^T z
+    against column norms.
     """
-    if axis == "row":
-        residual, sq_norms, nonzero = state.r, caches.norms.row_sq_norms, caches.nonzero_rows
-    else:
-        residual, sq_norms, nonzero = state.g, caches.norms.col_sq_norms, caches.nonzero_cols
+    ax = caches.rows if axis == "row" else caches.cols
+    nonzero, sq_norms = ax.nonzero, ax.sq_norms
     if nonzero.size == 0:
         return None
     rule, pair, rng = method.rule, method.pair, state.rng
-    if rule not in _NORM_RULES:
-        # The other rules score the residual; a zero residual means no-op.
-        residual_sq, scores = scores_from_residual(residual, sq_norms)
+    if rule == "norm":
+        i1 = pick_from_cdf(ax.cdf, rng)
+        if not pair or nonzero.size == 1:
+            return int(nonzero[i1]), None
+        return int(nonzero[i1]), int(nonzero[pick_from_cdf(ax.cdf, rng, i1)])
+
+    if rule in _WHOLE_AXIS_RULES:
+        residual = state.r if axis == "row" else state.g
+        residual_sq, scores = scores_from_residual(
+            residual, sq_norms, (ax.residual_sq, ax.scores), ax.positive
+        )
         argmax = int(np.argmax(scores))
+        # A zero residual means no-op.
         if scores[argmax] <= 0.0:
             return None
         if rule == "greedy":
@@ -256,17 +308,24 @@ def _select(method, axis, state, caches, config):
             return _draw_pair(lambda d: weighted_pick(residual_sq, d, rng), index_set, pair)
         if not pair:
             return argmax, None
+        if nonzero.size == 1:
+            return int(nonzero[0]), None
+        return top_two(scores[nonzero], nonzero)
 
+    # An axis with one line is its own sample, so it takes a 1-D step.
     domain = nonzero
-    if rule in _SAMPLE_RULES:
-        # An axis with one line is its own sample, so it takes a 1-D step.
-        if sq_norms.size > 1:
-            domain = simple_random_sample(sq_norms.size, config.fraction, rng)
-        domain = domain[sq_norms[domain] > 0]
+    if sq_norms.size > 1:
+        domain = simple_random_sample(sq_norms.size, config.fraction, rng)
+        domain = domain[ax.positive[domain]]
         if domain.size == 0:
             return None
-    if rule in _NORM_RULES:
+    if rule == "norm_sample":
         return _draw_pair(lambda d: weighted_pick_norms(sq_norms, d, rng), domain, pair)
+    # top_sample: the largest scores of the sample; all zero means no-op.
+    residual = _entries(method, axis, state, problem, caches, domain)
+    _, scores = scores_from_residual(residual, sq_norms[domain])
+    if scores.max() <= 0.0:
+        return None
     if domain.size == 1:
         return int(domain[0]), None
     return top_two(scores, domain)
@@ -298,28 +357,33 @@ def _residual_change(gram, product, delta, idx, coeffs):
     return out
 
 
-def _axis_step(state, A, caches, axis, i1, i2):
+def _axis_step(state, problem, caches, axis, i1, i2):
     """Step on lines (i1, i2), or on i1 alone, of one axis.
 
     A row step moves x by a combination of rows that zeroes the chosen
     entries of r.  A column step moves z by a combination of columns that
     zeroes the chosen entries of g = A^T z: the same 2x2 system on the
     column Gram entries, with -g as its residual.  Either falls back to
-    the 1-D step on i1 when the pair is parallel.
+    the 1-D step on i1 when the pair is parallel.  Only the residuals the
+    method keeps are updated.
     """
+    method = METHODS[state.kind]
+    A = problem.A
     row = axis == "row"
-    norms = caches.norms
-    sq_norms = norms.row_sq_norms if row else norms.col_sq_norms
-    residual = state.r if row else state.g
+    ax = caches.rows if row else caches.cols
+    sq_norms = ax.sq_norms
+    pair = i2 is not None and i2 != i1
+    lines = np.array((i1, i2) if pair else (i1,))
+    residual = _entries(method, axis, state, problem, caches, lines)
     # Negation is exact, so the column formulas see -g bit for bit.
     sign = 1.0 if row else -1.0
-    r1 = sign * float(residual[i1])
+    r1 = sign * float(residual[0])
     idx = None
-    if i2 is not None and i2 != i1:
+    if pair:
         dot = A.row_pair_dot(i1, i2) if row else A.col_pair_dot(i1, i2)
         try:
             gamma, lam = two_dim_row_coeffs(
-                dot, sq_norms[i1], sq_norms[i2], r1, sign * float(residual[i2])
+                dot, sq_norms[i1], sq_norms[i2], r1, sign * float(residual[1])
             )
         except ParallelPairError:
             pass
@@ -333,23 +397,28 @@ def _axis_step(state, A, caches, axis, i1, i2):
     if row:
         dx = _combination(A.add_scaled_row, A.cols, idx, coeffs)
         state.x += dx
-        state.r -= _residual_change(caches.row_gram, A.matvec, dx, idx, coeffs)
+        if _keeps(method, ax):
+            state.r -= _residual_change(ax.gram, A.matvec, dx, idx, coeffs)
     else:
         dz = _combination(A.add_scaled_col, A.rows, idx, coeffs)
         state.z += dz
-        if state.r is not None:
+        if method.rows and _keeps(method, caches.rows):
             state.r -= dz
-        state.g += _residual_change(caches.col_gram, A.rmatvec, dz, idx, coeffs)
+        if _keeps(method, ax):
+            state.g += _residual_change(ax.gram, A.rmatvec, dz, idx, coeffs)
 
 
 def step(kind, state, problem, caches, config):
     """Advance the state by exactly one iteration of the named method."""
     method = METHODS[SolverKind(kind)]
-    # Both axes pick from the state at the start of the step.
-    chosen = [(axis, _select(method, axis, state, caches, config)) for axis in method.axes]
+    # Both axes pick from the state at the start of the step; the row step
+    # runs first, so the entries it forms see the pre-step z.
+    chosen = [
+        (axis, _select(method, axis, state, problem, caches, config)) for axis in method.axes
+    ]
     for axis, lines in chosen:
         if lines is not None:
-            _axis_step(state, problem.A, caches, axis, *lines)
+            _axis_step(state, problem, caches, axis, *lines)
     state.k += 1
     return state
 

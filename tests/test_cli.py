@@ -414,3 +414,38 @@ def test_bench_out_of_range_setting_is_usage_error(capsys, tmp_path, extra):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_solve_bad_tol_is_usage_error(capsys, tmp_path, tol):
+    path = gen_bundle(capsys, tmp_path)
+    code, out, err = run(capsys, "solve", "--problem", path, "--method", "SREK", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tol must be finite and positive") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0, -1.0])
+def test_bench_config_bad_tol_is_usage_error(capsys, tmp_path, tol):
+    path = gen_bundle(capsys, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    # json writes NaN and Infinity, which json.load reads back.
+    cfg.write_text(json.dumps({"methods": ["SREK"], "problems": [path], "tol": tol}))
+    out_csv = tmp_path / "res.csv"
+    code, out, err = run(capsys, "bench", "--config", str(cfg), "--out", str(out_csv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tol must be finite and positive") and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "0", "-1"])
+def test_bench_bad_tol_flag_is_usage_error(capsys, tmp_path, tol):
+    path = gen_bundle(capsys, tmp_path)
+    out_csv = tmp_path / "res.csv"
+    code, out, err = run(
+        capsys, "bench", "--methods", "REK", "--problems", path, "--out", str(out_csv), "--tol", tol
+    )
+    assert code == 1
+    assert out == "" and err.count("\n") == 1
+    assert not out_csv.exists()

@@ -151,6 +151,19 @@ def test_sparse_kernels_match_dense():
     assert np.allclose(A.mat_t_col(3), dense.T @ dense[:, 3])
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_row_and_column_dots_are_entries_of_the_products(sparse):
+    A = random_sparse(8, 6, 0.4, 5)
+    if not sparse:
+        A = DenseMatrix(A.to_dense())
+    x = np.arange(1.0, 7.0)
+    z = np.arange(1.0, 9.0)
+    rows, cols = np.array([6, 0, 3]), [5, 1]
+    assert np.allclose(A.row_dots(rows, x), A.matvec(x)[rows])
+    assert np.allclose(A.col_dots(cols, z), A.rmatvec(z)[cols])
+    assert A.row_dots([], x).shape == (0,) and A.col_dots([], z).shape == (0,)
+
+
 def test_sparse_duplicate_entry_rejected():
     with pytest.raises(ValueError):
         DualSparseMatrix(2, 2, [0, 0], [1, 1], [1.0, 2.0])

@@ -8,7 +8,9 @@ from rekbench.selection import (
     AlreadyConverged,
     DegenerateProblemError,
     build_index_set,
+    cumulative_weights,
     greedy_threshold,
+    pick_from_cdf,
     scores_from_residual,
     simple_random_sample,
     top_two,
@@ -275,3 +277,76 @@ def test_greedy_set_nonempty_property(data):
     index_set = greedy_set((residual_sq, scores), cache)
     assert index_set.size > 0
     assert int(np.argmax(scores)) in index_set
+
+
+def test_scores_from_residual_into_buffers_is_bitwise():
+    g = rng(12)
+    sq_norms = g.random(50) + 0.1
+    sq_norms[::7] = 0.0
+    positive = sq_norms > 0
+    out = (np.empty(50), np.zeros(50))
+    for _ in range(3):
+        residual = g.standard_normal(50)
+        residual_sq, scores = scores_from_residual(residual, sq_norms, out, positive)
+        assert residual_sq is out[0] and scores is out[1]
+        ref_sq, ref_scores = scores_from_residual(residual, sq_norms)
+        assert np.array_equal(residual_sq, ref_sq) and np.array_equal(scores, ref_scores)
+        assert np.all(scores[~positive] == 0.0)
+
+
+def test_top_two_reads_scores_aligned_with_the_domain():
+    scores = np.array([0.1, 0.9, 0.5])
+    assert top_two(scores, [3, 7, 9]) == (7, 9)
+    assert np.array_equal(scores, [0.1, 0.9, 0.5])
+
+
+class FixedUniform:
+    """A stand-in generator whose random() returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_pick_from_cdf_skip_never_returns_skip():
+    # Uniforms at 0, just below 1 and on every interval edge, over weights
+    # whose CDFs have ties and intervals below one ulp.
+    g = rng(13)
+    for trial in range(200):
+        w = g.random(int(g.integers(2, 12))) ** 8
+        w[g.random(w.size) < 0.3] *= 1e-18
+        w[0] += 1e-3
+        cdf = cumulative_weights(w)
+        edges = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf[:-1]])
+        for skip in range(cdf.size):
+            width = cdf[skip] - (cdf[skip - 1] if skip else 0.0)
+            scaled = edges / (1.0 - width) if width < 1.0 else edges
+            us = np.concatenate([edges, scaled, np.nextafter(scaled, 0.0)])
+            for u in us[(us >= 0.0) & (us < 1.0)]:
+                pick = pick_from_cdf(cdf, FixedUniform([u]), skip)
+                assert 0 <= pick < cdf.size and pick != skip
+
+
+@pytest.mark.parametrize("skip", [0, 2, 4])
+def test_pick_from_cdf_skip_is_the_law_of_the_rest(skip):
+    # Over an even grid of uniforms, each other position takes its share
+    # w_j / (1 - w_skip) of the grid, up to the grid step at its edges.
+    w = np.array([0.3, 0.05, 0.25, 0.1, 0.3])
+    cdf = cumulative_weights(w)
+    grid = (np.arange(100_000) + 0.5) / 100_000
+    counts = np.bincount(
+        [pick_from_cdf(cdf, FixedUniform([u]), skip) for u in grid], minlength=w.size
+    )
+    assert counts[skip] == 0
+    expected = np.delete(w, skip) / (1.0 - w[skip]) * grid.size
+    assert np.all(np.abs(np.delete(counts, skip) - expected) <= 2)
+
+
+def test_pick_from_cdf_first_pick_is_rng_choice():
+    g = rng(14)
+    w = g.random(30)
+    for seed in range(50):
+        mine, ref = rng(seed), rng(seed)
+        assert pick_from_cdf(cumulative_weights(w), mine) == int(ref.choice(30, p=w / w.sum()))

@@ -284,6 +284,16 @@ def _upkeep_matrix(shape):
     return DualSparseMatrix(40, 20, i, j, vals[i, j])
 
 
+WHOLE_AXIS_RULES = ("greedy", "argmax")
+
+
+def _keeps(kind, shape):
+    """(keeps r, keeps g) on an _upkeep_matrix shape: a whole-axis rule, or a Gram axis."""
+    method = METHODS[kind]
+    whole = method.rule in WHOLE_AXIS_RULES
+    return method.rows and (whole or shape == "wide"), method.cols and (whole or shape == "tall")
+
+
 @pytest.mark.parametrize("shape", ["tall", "wide", "sparse"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_maintained_residuals_match_fresh(kind, shape):
@@ -295,12 +305,13 @@ def test_maintained_residuals_match_fresh(kind, shape):
         step(kind, state, problem, caches, StopConfig(fraction=0.25))
     x_norm = 0.0 if state.x is None else np.linalg.norm(state.x)
     bound = 4 * np.finfo(float).eps * caches.norms.frob_sq * (x_norm + np.linalg.norm(problem.b))
-    if state.r is not None:
+    keeps_r, keeps_g = _keeps(kind, shape)
+    if keeps_r:
         fresh_r = problem.b - A.matvec(state.x)
         if state.z is not None:
             fresh_r -= state.z
         assert np.linalg.norm(state.r - fresh_r) <= bound
-    if state.g is not None:
+    if keeps_g:
         assert np.linalg.norm(state.g - A.rmatvec(state.z)) <= bound
 
 
@@ -312,19 +323,75 @@ def test_gram_only_for_a_maintained_short_axis(kind, shape):
     keeps_r = kind not in PROJECTION_KINDS
     keeps_g = kind not in CONSISTENT_KINDS
     if shape == "tall":
-        assert caches.row_gram is None
-        assert (caches.col_gram is not None) == keeps_g
+        assert caches.rows.gram is None
+        assert (caches.cols.gram is not None) == keeps_g
         if keeps_g:
-            assert np.allclose(caches.col_gram, A.values.T @ A.values)
+            assert np.allclose(caches.cols.gram, A.values.T @ A.values)
     elif shape == "wide":
-        assert caches.col_gram is None
-        assert (caches.row_gram is not None) == keeps_r
+        assert caches.cols.gram is None
+        assert (caches.rows.gram is not None) == keeps_r
         if keeps_r:
-            assert np.allclose(caches.row_gram, A.values @ A.values.T)
+            assert np.allclose(caches.rows.gram, A.values @ A.values.T)
     else:
-        assert caches.row_gram is None and caches.col_gram is None
+        assert caches.rows.gram is None and caches.cols.gram is None
     plain = build_caches(A)
-    assert plain.row_gram is None and plain.col_gram is None
+    assert plain.rows.gram is None and plain.cols.gram is None
+
+
+ON_DEMAND = [
+    (kind, shape)
+    for kind in ALL_KINDS
+    for shape in ("tall", "wide", "sparse")
+    if _keeps(kind, shape) != (METHODS[kind].rows, METHODS[kind].cols)
+]
+
+
+def _poisoned_solve(monkeypatch, kind, problem, config, poison):
+    """solve(), with every unkept residual set to NaN before each step when poison is set."""
+    original_step = solvers.step
+    states = []
+
+    def poisoning_step(kind_, state, *args):
+        states.append(state)
+        for name, keeps in zip(("r", "g"), poison):
+            if getattr(state, name) is not None and not keeps:
+                setattr(state, name, np.full_like(getattr(state, name), np.nan))
+        return original_step(kind_, state, *args)
+
+    monkeypatch.setattr(solvers, "step", poisoning_step)
+    rec = solve(kind, problem, config, seed=4)
+    monkeypatch.setattr(solvers, "step", original_step)
+    return rec, states[-1]
+
+
+@pytest.mark.parametrize("kind, shape", ON_DEMAND)
+def test_unkept_residuals_are_never_read_between_checks(monkeypatch, kind, shape):
+    problem = make_inconsistent_problem(_upkeep_matrix(shape), 18)
+    config = StopConfig(tol=1e-8, check_every=7, max_iters=700, fraction=0.25)
+    plain, plain_state = _poisoned_solve(monkeypatch, kind, problem, config, (True, True))
+    rec, state = _poisoned_solve(monkeypatch, kind, problem, config, _keeps(kind, shape))
+    assert rec.iters == plain.iters and rec.iters > config.check_every
+    assert rec.converged == plain.converged
+    # Each check refreshes r and g, so the final residuals are fresh too.
+    assert (rec.final_primary_residual, rec.final_dual_residual) == (
+        plain.final_primary_residual,
+        plain.final_dual_residual,
+    )
+    for name in ("x", "z"):
+        assert np.array_equal(getattr(state, name), getattr(plain_state, name))
+
+
+@pytest.mark.parametrize("kind", [SolverKind.REK, SolverKind.RK, SolverKind.TSREKS])
+def test_on_demand_kinds_form_products_only_at_checks(kind):
+    # Tall dense: rows on demand; g, where the kind has it, kept through A^T A.
+    base = make_inconsistent_problem(gen_gaussian(40, 10, 3), 3)
+    A = CountingMatrix(base.A.values)
+    problem = LsProblem(A=A, b=base.b, x_star=base.x_star, r=base.r)
+    config = StopConfig(tol=1e-30, check_every=10, max_iters=100, fraction=0.25)
+    rec = solve(kind, problem, config, seed=0)
+    assert rec.iters == 100 and not rec.converged
+    # One A x per check; one A^T z per check plus the initial g = A^T b.
+    assert A.calls == {"matvec": 10, "rmatvec": 11 if METHODS[kind].cols else 0}
 
 
 def test_sparse_and_dense_agree_for_srek():
@@ -418,6 +485,12 @@ def test_stop_config_rejects_out_of_range(settings):
         StopConfig(**settings)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+def test_stop_config_rejects_a_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        StopConfig(tol=tol)
+
+
 def test_stop_config_accepts_the_edges():
     config = StopConfig(fraction=1.0, check_every=1, max_iters=0)
     assert (config.fraction, config.check_every, config.max_iters) == (1.0, 1, 0)
@@ -430,7 +503,7 @@ def _pair_counts(kind, problem, axis, draws, seed):
     state = SolverState.initial(kind, problem, seed=seed)
     counts = {}
     for _ in range(draws):
-        i1, i2 = solvers._select(method, axis, state, caches, StopConfig())
+        i1, i2 = solvers._select(method, axis, state, problem, caches, StopConfig())
         counts[i1, i2] = counts.get((i1, i2), 0) + 1
     return counts
 
@@ -475,3 +548,40 @@ def test_norm_pair_always_distinct_on_a_dominant_line(axis):
     problem = LsProblem(A=DenseMatrix(np.diag(np.sqrt([1e8, 1.0]))), b=np.ones(2))
     counts = _pair_counts(SolverKind.TREK_ALT, problem, axis, 1000, seed=33)
     assert set(counts) <= {(0, 1), (1, 0)}
+
+
+def _matrix_with_zero_lines(shape):
+    """A with every third row and every fourth column zero, between nonzero ones."""
+    g = np.random.Generator(np.random.Philox(41))
+    m, n = (12, 8) if shape != "wide" else (8, 12)
+    vals = g.standard_normal((m, n))
+    vals[1::3] = 0.0
+    vals[:, 2::4] = 0.0
+    if shape != "sparse":
+        return DenseMatrix(vals)
+    vals[g.random((m, n)) < 0.3] = 0.0
+    i, j = np.nonzero(vals)
+    return DualSparseMatrix(m, n, i, j, vals[i, j])
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "sparse"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_no_rule_picks_a_zero_norm_line(monkeypatch, kind, shape):
+    A = _matrix_with_zero_lines(shape)
+    problem = LsProblem(A=A, b=np.random.Generator(np.random.Philox(42)).standard_normal(A.rows))
+    caches = build_caches(A, kind)
+    picks = []
+    original = solvers._axis_step
+
+    def spy(state, problem, caches, axis, i1, i2):
+        picks.append((axis, i1, i2))
+        return original(state, problem, caches, axis, i1, i2)
+
+    monkeypatch.setattr(solvers, "_axis_step", spy)
+    state = SolverState.initial(kind, problem, seed=6)
+    for _ in range(300):
+        step(kind, state, problem, caches, StopConfig(fraction=0.5))
+    assert picks
+    for axis, i1, i2 in picks:
+        sq_norms = caches.norms.row_sq_norms if axis == "row" else caches.norms.col_sq_norms
+        assert sq_norms[i1] > 0 and (i2 is None or sq_norms[i2] > 0)

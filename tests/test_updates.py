@@ -4,8 +4,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rekbench.linalg import DenseMatrix, build_norm_cache
+from rekbench.problems import LsProblem
 from rekbench.solvers import SolverKind, SolverState, _axis_step, build_caches
-from rekbench.updates import ParallelPairError, ZeroNormError, pair_geometry_from, two_dim_row_coeffs
+from rekbench.updates import (
+    PARALLEL_TOL,
+    ParallelPairError,
+    ZeroNormError,
+    pair_geometry_from,
+    two_dim_row_coeffs,
+)
 
 
 def rng(seed=0):
@@ -16,7 +23,7 @@ def row_step(A, x, rhs, i1, i2=None):
     """x after the solver's row step at (i1, i2) against the right-hand side rhs."""
     x = np.array(x, dtype=np.float64)
     state = SolverState(SolverKind.TGRK, x, None, rhs - A.matvec(x), None, 0, None)
-    _axis_step(state, A, build_caches(A), "row", i1, i2)
+    _axis_step(state, LsProblem(A=A, b=rhs), build_caches(A), "row", i1, i2)
     return state.x
 
 
@@ -24,7 +31,7 @@ def col_step(A, z, j1, j2=None):
     """z after the solver's column step at (j1, j2)."""
     z = np.array(z, dtype=np.float64)
     state = SolverState(SolverKind.GPROJ, None, z, None, A.rmatvec(z), 0, None)
-    _axis_step(state, A, build_caches(A), "column", j1, j2)
+    _axis_step(state, LsProblem(A=A, b=z), build_caches(A), "column", j1, j2)
     return state.z
 
 
@@ -303,3 +310,33 @@ def test_pair_kernel_zeroes_both_lines_and_beats_1d(seed, m, n):
     z_perp = z - dense @ np.linalg.lstsq(dense, z, rcond=None)[0]
     z1 = col_step(A, z, j1)
     assert np.linalg.norm(z2 - z_perp) <= np.linalg.norm(z1 - z_perp) + scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n1_sq=st.floats(1e-3, 1e3),
+    n2_sq=st.floats(1e-3, 1e3),
+    log_ratio=st.floats(-np.log(4.0), np.log(4.0)),
+    sign=st.sampled_from([-1.0, 1.0]),
+    # Away from underflow, where the products in the solve lose digits.
+    r1=st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6),
+    r2=st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6),
+)
+def test_kernel_near_parallel_pairs(n1_sq, n2_sq, log_ratio, sign, r1, r2):
+    """With 1 - mu^2 = s within a factor 4 of PARALLEL_TOL, the kernel either
+    rejects the pair or returns finite coefficients that zero both residuals
+    up to the pair's conditioning, eps / s; which one is decided by s."""
+    s = PARALLEL_TOL * np.exp(log_ratio)
+    dot = sign * np.sqrt(1.0 - s) * np.sqrt(n1_sq * n2_sq)
+    try:
+        gamma, lam = two_dim_row_coeffs(dot, n1_sq, n2_sq, r1, r2)
+    except ParallelPairError:
+        # Rounding moves the computed 1 - mu^2 by about 1e-3 PARALLEL_TOL.
+        assert s <= 1.01 * PARALLEL_TOL
+        return
+    assert s >= 0.99 * PARALLEL_TOL
+    assert np.isfinite(gamma) and np.isfinite(lam)
+    unit = 8 * np.finfo(float).eps / s
+    ratio = np.sqrt(n1_sq / n2_sq)
+    assert abs(r1 - (n1_sq * gamma + dot * lam)) <= unit * (abs(r1) + abs(r2) * ratio)
+    assert abs(r2 - (dot * gamma + n2_sq * lam)) <= unit * (abs(r2) + abs(r1) / ratio)
