@@ -20,14 +20,14 @@ import sys
 import numpy as np
 
 from . import rng as rngmod
-from .linalg import build_norm_cache, direct_least_squares, OracleTooLargeError
+from .linalg import build_norm_cache, OracleTooLargeError
 from .problems import (
-    LsProblem,
     MatrixMarketError,
     gen_gaussian,
     gen_parallel_beam,
     load_problem,
     make_inconsistent_problem,
+    oracle_problem,
     read_matrix_market,
     save_problem,
 )
@@ -126,15 +126,11 @@ def _cmd_gen(args):
             problem = make_inconsistent_problem(A, args.seed)
         else:
             g = rngmod.stream(args.seed, rngmod.method_tag("gen_consistent_b"))
-            b = A.matvec(g.standard_normal(args.n))
-            x_star = direct_least_squares(A, b)
-            problem = LsProblem(
-                A=A,
-                b=b,
-                x_star=x_star,
-                r=b - A.matvec(x_star),
-                label=f"gaussian-{args.m}x{args.n}-seed{args.seed}",
-                meta={"seed": args.seed, "generator": "gen_gaussian"},
+            problem = oracle_problem(
+                A,
+                A.matvec(g.standard_normal(args.n)),
+                f"gaussian-{args.m}x{args.n}-seed{args.seed}",
+                {"seed": args.seed, "generator": "gen_gaussian"},
             )
     elif args.generator == "tomo":
         problem = _checked(gen_parallel_beam, args.side, args.angles, args.detectors, args.seed)
@@ -237,6 +233,11 @@ def _setting(spec, args, key, kind):
     return kind(value)
 
 
+_BENCH_KEYS = frozenset(
+    "methods problems trials seed tol check_every max_iters fraction summary_out".split()
+)
+
+
 def _cmd_bench(args):
     spec = {}
     if args.config:
@@ -247,6 +248,14 @@ def _cmd_bench(args):
             raise _IoFailure(str(exc)) from exc
         if not isinstance(spec, dict):
             raise _UsageFailure("bench config must be a JSON object")
+        unknown = sorted(set(spec) - _BENCH_KEYS)
+        if unknown:
+            raise _UsageFailure(f"unknown config keys {json.dumps(unknown)}")
+        summary_out = spec.get("summary_out")
+        if summary_out is not None and not isinstance(summary_out, str):
+            raise _UsageFailure(
+                f"config summary_out must be a string or null, got {json.dumps(summary_out)}"
+            )
         for key in ("methods", "problems"):
             names = spec.get(key, [])
             if not isinstance(names, list) or not all(isinstance(v, str) for v in names):

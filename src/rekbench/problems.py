@@ -93,34 +93,37 @@ def range_split(A, b):
     return RangeSplit(b_range, b - b_range)
 
 
+def project_off_range(A, v):
+    """v - A A^+ v: the component of v orthogonal to range(A)."""
+    return v - A.matvec(direct_least_squares(A, v))
+
+
+def oracle_problem(A, b, label, meta):
+    """The LsProblem for A and b, with the oracle x_star = A^+ b and r = b - A x_star."""
+    x_star = direct_least_squares(A, b)
+    return LsProblem(A=A, b=b, x_star=x_star, r=b - A.matvec(x_star), label=label, meta=meta)
+
+
 def make_inconsistent_problem(A, seed, label=""):
     """Build b = A x_star + r with r orthogonal to range(A).
 
-    r comes from projecting a Gaussian draw onto range(A)-perp
-    (r = r_tilde - A A^+ r_tilde), with a second projection pass if the
-    first leaves measurable overlap (ill-conditioned A).  x_star stored is
-    the oracle minimum-norm solution for the resulting b, which is what
-    relative-error metrics compare against.
+    r projects a Gaussian draw off range(A), with a second projection pass
+    if the first leaves measurable overlap (ill-conditioned A).
     """
     m, n = A.shape
     g = rngmod.stream(seed, rngmod.method_tag("make_inconsistent"))
     x_raw = g.standard_normal(n)
-    r_tilde = g.standard_normal(m)
-    r = r_tilde - A.matvec(direct_least_squares(A, r_tilde))
+    r = project_off_range(A, g.standard_normal(m))
     cache = build_norm_cache(A)
     frob = np.sqrt(cache.frob_sq)
     r_norm = np.linalg.norm(r)
     if r_norm > 0 and np.linalg.norm(A.rmatvec(r)) > 1e-10 * frob * r_norm:
-        r = r - A.matvec(direct_least_squares(A, r))
-    b = A.matvec(x_raw) + r
-    x_star = direct_least_squares(A, b)
-    return LsProblem(
-        A=A,
-        b=b,
-        x_star=x_star,
-        r=b - A.matvec(x_star),
-        label=label or f"inconsistent-{m}x{n}-seed{seed}",
-        meta={"seed": int(seed), "generator": "make_inconsistent_problem"},
+        r = project_off_range(A, r)
+    return oracle_problem(
+        A,
+        A.matvec(x_raw) + r,
+        label or f"inconsistent-{m}x{n}-seed{seed}",
+        {"seed": int(seed), "generator": "make_inconsistent_problem"},
     )
 
 
@@ -378,18 +381,12 @@ def gen_parallel_beam(image_side, n_angles, n_detectors, seed):
     A = parallel_beam_matrix(image_side, n_angles, n_detectors)
     phantom = shepp_logan(image_side)
     g = rngmod.stream(seed, rngmod.method_tag("gen_parallel_beam"))
-    r_tilde = g.standard_normal(A.rows)
-    r = r_tilde - A.matvec(direct_least_squares(A, r_tilde))
-    r = r - A.matvec(direct_least_squares(A, r))
-    b = A.matvec(phantom) + r
-    x_star = direct_least_squares(A, b)
-    return LsProblem(
-        A=A,
-        b=b,
-        x_star=x_star,
-        r=b - A.matvec(x_star),
-        label=f"tomo-{image_side}x{image_side}-a{n_angles}-d{n_detectors}-seed{seed}",
-        meta={
+    r = project_off_range(A, project_off_range(A, g.standard_normal(A.rows)))
+    return oracle_problem(
+        A,
+        A.matvec(phantom) + r,
+        f"tomo-{image_side}x{image_side}-a{n_angles}-d{n_detectors}-seed{seed}",
+        {
             "seed": int(seed),
             "generator": "gen_parallel_beam",
             "image_side": image_side,

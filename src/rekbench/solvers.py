@@ -16,6 +16,11 @@ rows, g_j = a_j^T z for the drawn or sampled columns.  So the norm rules
 pay per step for the lines they draw or sample, not for a product with A.
 Every convergence check recomputes r and g from x and z, which also
 flushes drift.
+
+Every weighted rule draws from one CDF over its domain: by squared norm
+(norm, norm_sample) or by squared residual (greedy).  A pair's second line
+is one more draw from that CDF that steps over the first line's interval,
+which is the law of redrawing until the two differ.
 """
 
 from __future__ import annotations
@@ -37,8 +42,6 @@ from .selection import (
     scores_from_residual,
     simple_random_sample,
     top_two,
-    weighted_pick,
-    weighted_pick_norms,
 )
 from .updates import ParallelPairError, two_dim_row_coeffs
 
@@ -104,6 +107,8 @@ METHODS = {
 # lines they draw or sample.
 _WHOLE_AXIS_RULES = ("greedy", "argmax")
 _SAMPLE_RULES = ("norm_sample", "top_sample")
+# The rules that take the top score(s); the others draw from a CDF.
+_TOP_RULES = ("argmax", "top_sample")
 
 EXTENDED_KINDS = frozenset(k for k, m in METHODS.items() if m.rows and m.cols)
 CONSISTENT_KINDS = frozenset(k for k, m in METHODS.items() if not m.cols)
@@ -263,72 +268,57 @@ def _entries(method, axis, state, problem, caches, idx):
     return problem.A.col_dots(idx, state.z)
 
 
-def _draw_pair(pick, domain, pair):
-    """(i1, i2) with i2 drawn from the rest of domain; i2 None for one line.
-
-    pick(d) draws one index from the index array d.  Drawing the second
-    line from domain without i1 gives the law of redrawing until distinct.
-    """
-    i1 = pick(domain)
-    if not pair or domain.size == 1:
-        return i1, None
-    return i1, pick(domain[domain != i1])
-
-
 def _select(method, axis, state, problem, caches, config):
     """Chosen (first, second-or-None) indices along one axis, or None to skip.
 
     axis 'row' scores r against row norms; axis 'column' scores g = A^T z
-    against column norms.
+    against column norms.  The domain is the nonzero lines of the axis, a
+    simple random sample of them (an axis of one line is its own sample) or
+    the greedy index set.  The pick is a CDF draw over the domain or its
+    top score(s); a domain of one line gives a 1-D step.  All scores zero
+    (a zero residual) means no-op.
     """
     ax = caches.rows if axis == "row" else caches.cols
-    nonzero, sq_norms = ax.nonzero, ax.sq_norms
-    if nonzero.size == 0:
+    rule, rng = method.rule, state.rng
+    domain = ax.nonzero
+    if rule in _SAMPLE_RULES and ax.sq_norms.size > 1:
+        sample = simple_random_sample(ax.sq_norms.size, config.fraction, rng)
+        domain = sample[ax.positive[sample]]
+    if domain.size == 0:
         return None
-    rule, pair, rng = method.rule, method.pair, state.rng
-    if rule == "norm":
-        i1 = pick_from_cdf(ax.cdf, rng)
-        if not pair or nonzero.size == 1:
-            return int(nonzero[i1]), None
-        return int(nonzero[i1]), int(nonzero[pick_from_cdf(ax.cdf, rng, i1)])
 
     if rule in _WHOLE_AXIS_RULES:
         residual = state.r if axis == "row" else state.g
         residual_sq, scores = scores_from_residual(
-            residual, sq_norms, (ax.residual_sq, ax.scores), ax.positive
+            residual, ax.sq_norms, (ax.residual_sq, ax.scores), ax.positive
         )
-        argmax = int(np.argmax(scores))
-        # A zero residual means no-op.
-        if scores[argmax] <= 0.0:
+        top = int(np.argmax(scores))
+        if scores[top] <= 0.0:
             return None
         if rule == "greedy":
             total_sq = float(residual_sq.sum())
-            bound = greedy_threshold(scores[argmax], total_sq, caches.norms.frob_sq) * total_sq
-            index_set = build_index_set(residual_sq, sq_norms, bound, argmax)
-            return _draw_pair(lambda d: weighted_pick(residual_sq, d, rng), index_set, pair)
-        if not pair:
-            return argmax, None
-        if nonzero.size == 1:
-            return int(nonzero[0]), None
-        return top_two(scores[nonzero], nonzero)
-
-    # An axis with one line is its own sample, so it takes a 1-D step.
-    domain = nonzero
-    if sq_norms.size > 1:
-        domain = simple_random_sample(sq_norms.size, config.fraction, rng)
-        domain = domain[ax.positive[domain]]
-        if domain.size == 0:
+            bound = greedy_threshold(scores[top], total_sq, caches.norms.frob_sq) * total_sq
+            domain = build_index_set(residual_sq, ax.sq_norms, bound, top)
+            cdf = cumulative_weights(residual_sq[domain])
+        else:
+            scores = scores[domain]
+    elif rule == "top_sample":
+        residual = _entries(method, axis, state, problem, caches, domain)
+        _, scores = scores_from_residual(residual, ax.sq_norms[domain])
+        if scores.max() <= 0.0:
             return None
-    if rule == "norm_sample":
-        return _draw_pair(lambda d: weighted_pick_norms(sq_norms, d, rng), domain, pair)
-    # top_sample: the largest scores of the sample; all zero means no-op.
-    residual = _entries(method, axis, state, problem, caches, domain)
-    _, scores = scores_from_residual(residual, sq_norms[domain])
-    if scores.max() <= 0.0:
-        return None
-    if domain.size == 1:
-        return int(domain[0]), None
-    return top_two(scores, domain)
+    else:
+        cdf = ax.cdf if rule == "norm" else cumulative_weights(ax.sq_norms[domain])
+
+    single = not method.pair or domain.size == 1
+    if rule in _TOP_RULES:
+        if single:
+            return int(domain[np.argmax(scores)]), None
+        return top_two(scores, domain)
+    k1 = pick_from_cdf(cdf, rng)
+    if single:
+        return int(domain[k1]), None
+    return int(domain[k1]), int(domain[pick_from_cdf(cdf, rng, k1)])
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,10 @@ def test_bench_config_file(capsys, tmp_path):
         [1, 2],
         {"methods": 5},
         {"problems": [1]},
+        {"summary_out": 1},
+        {"summary_out": ["x"]},
+        {"check-every": 5},
+        {"trial": 2},
     ],
 )
 def test_bench_config_bad_value_is_usage_error(capsys, tmp_path, settings):

@@ -496,14 +496,15 @@ def test_stop_config_accepts_the_edges():
     assert (config.fraction, config.check_every, config.max_iters) == (1.0, 1, 0)
 
 
-def _pair_counts(kind, problem, axis, draws, seed):
+def _pair_counts(kind, problem, axis, draws, seed, config=None):
     """Counts of the ordered pairs _select draws on one axis of the initial state."""
     method = METHODS[kind]
     caches = build_caches(problem.A, kind)
     state = SolverState.initial(kind, problem, seed=seed)
+    config = config or StopConfig()
     counts = {}
     for _ in range(draws):
-        i1, i2 = solvers._select(method, axis, state, problem, caches, StopConfig())
+        i1, i2 = solvers._select(method, axis, state, problem, caches, config)
         counts[i1, i2] = counts.get((i1, i2), 0) + 1
     return counts
 
@@ -522,11 +523,14 @@ def _pair_chi_square(counts, weights, draws):
 
 
 @pytest.mark.parametrize("axis", ["row", "column"])
-def test_norm_pair_law(axis):
+@pytest.mark.parametrize("kind", [SolverKind.TREK_ALT, SolverKind.TREKS])
+def test_norm_pair_law(kind, axis):
     weights = [5.0, 3.0, 2.0]
     problem = LsProblem(A=DenseMatrix(np.diag(np.sqrt(weights))), b=np.ones(3))
     draws = 20_000
-    counts = _pair_counts(SolverKind.TREK_ALT, problem, axis, draws, seed=31)
+    # At fraction 1 the TREKS sample is the whole axis; TREK_ALT reads no fraction.
+    config = StopConfig(fraction=1.0)
+    counts = _pair_counts(kind, problem, axis, draws, seed=31, config=config)
     assert _pair_chi_square(counts, weights, draws) <= 15.09  # 99%, 5 degrees of freedom
 
 
