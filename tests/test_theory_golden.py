@@ -1,0 +1,52 @@
+"""Golden theory output: the exact JSON of `constants` and `verify`.
+
+A refactor of the constants or of the rate formulas must leave these
+unchanged.  Each case generates a bundle with `gen`, runs one command on
+it through cli.main and pins the exit code and the sha256 of stdout.  The
+expected values were recorded before the rates were rewritten as
+functions of the constants alone, so they pin every key, value and key
+order across it.
+"""
+
+import hashlib
+
+import pytest
+
+from rekbench.cli import main
+
+BUNDLES = {
+    "tall": ("gaussian", "--m", "40", "--n", "20", "--seed", "42", "--inconsistent"),
+    "wide": ("gaussian", "--m", "15", "--n", "40", "--seed", "3", "--inconsistent"),
+    "consistent": ("gaussian", "--m", "30", "--n", "10", "--seed", "5"),
+    "tomo": ("tomo", "--side", "8", "--angles", "12", "--detectors", "12", "--seed", "1"),
+}
+
+COMMANDS = {
+    "constants": ("constants",),
+    "verify": ("verify", "--trials", "20", "--steps", "10"),
+    "sample": ("constants", "--sample", "5"),
+}
+
+# (bundle, command): (exit code, first 16 hex digits of the stdout sha256)
+GOLDEN = {
+    ("tall", "constants"): (0, "fb8d0fa01d273b6e"),
+    ("wide", "constants"): (0, "a68f7709d78aa8fc"),
+    ("consistent", "constants"): (0, "fe5af3b3fe0518f1"),
+    ("tomo", "constants"): (0, "d46b9a7141ee629c"),
+    ("tall", "verify"): (0, "5ab03830b91a98c3"),
+    ("wide", "verify"): (0, "8cfefeed7da76936"),
+    ("consistent", "verify"): (0, "6efd337a326f9e91"),
+    ("tomo", "verify"): (0, "3437b76e1f2ceed8"),
+    ("tall", "sample"): (0, "38f361bdaf1e05b0"),
+}
+
+
+@pytest.mark.parametrize("bundle, command", sorted(GOLDEN))
+def test_theory_output_is_unchanged(capsys, tmp_path, bundle, command):
+    path = str(tmp_path / bundle)
+    assert main(["gen", *BUNDLES[bundle], "--out", path]) == 0
+    capsys.readouterr()
+    argv = [*COMMANDS[command], "--problem", path]
+    code = main(argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    assert (code, digest) == GOLDEN[bundle, command]
