@@ -17,11 +17,9 @@ from .linalg import (
 )
 from .problems import (
     LsProblem,
-    RangeSplit,
     gen_gaussian,
     gen_parallel_beam,
     make_inconsistent_problem,
-    range_split,
     read_matrix_market,
     shepp_logan,
     write_matrix_market,
@@ -32,7 +30,6 @@ from .theory import (
     TheoryConstants,
     compute_constants,
     empirical_contraction,
-    rate_thm1,
     rates_all,
 )
 
@@ -44,11 +41,9 @@ __all__ = [
     "direct_least_squares",
     "gram_extreme_eigenvalues",
     "LsProblem",
-    "RangeSplit",
     "gen_gaussian",
     "gen_parallel_beam",
     "make_inconsistent_problem",
-    "range_split",
     "read_matrix_market",
     "write_matrix_market",
     "shepp_logan",
@@ -62,7 +57,6 @@ __all__ = [
     "TheoryConstants",
     "BoundRates",
     "compute_constants",
-    "rate_thm1",
     "rates_all",
     "empirical_contraction",
 ]

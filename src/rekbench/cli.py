@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import rng as rngmod
-from .linalg import build_norm_cache, OracleTooLargeError
+from .linalg import OracleTooLargeError
 from .problems import (
     MatrixMarketError,
     gen_gaussian,
@@ -36,7 +36,6 @@ from .theory import (
     ConstantsTooLargeError,
     compute_constants,
     empirical_contraction,
-    rate_thm1,
     rates_all,
 )
 
@@ -318,34 +317,38 @@ def _cmd_bench(args):
 
 
 def _constants_payload(A, sample=None):
-    cache = build_norm_cache(A)
+    """((constants, rates), JSON payload), or (None, the pairwise-cap error payload)."""
     try:
-        consts = compute_constants(A, cache, sample=sample)
+        consts = compute_constants(A, sample=sample)
     except ConstantsTooLargeError as exc:
         return None, {"error": str(exc), "note": "re-run with --sample for an approximate scan"}
+    except OracleTooLargeError:  # a size cap, not a usage error: exit 2
+        raise
     except ValueError as exc:
         raise _UsageFailure(str(exc)) from None
-    rates = rates_all(consts, cache)
+    rates = rates_all(consts)
     payload = {
-        "constants": {k: getattr(consts, k) for k in consts.__dataclass_fields__},
+        "constants": {
+            k: getattr(consts, k) for k in consts.__dataclass_fields__ if k != "frob_sq"
+        },
         "rates": {
             k: getattr(rates, k)
             for k in rates.__dataclass_fields__
             if k not in ("raw", "vacuous")
         },
         "vacuous": list(rates.vacuous),
-        "frob_sq": cache.frob_sq,
+        "frob_sq": consts.frob_sq,
     }
-    return (consts, rates, cache), payload
+    return (consts, rates), payload
 
 
 def _cmd_constants(args):
     if bool(args.matrix) == bool(args.problem):
         raise _UsageFailure("constants needs exactly one of --matrix / --problem")
     A = read_matrix_market(args.matrix) if args.matrix else _load(args.problem).A
-    _, payload = _constants_payload(A, sample=args.sample)
+    computed, payload = _constants_payload(A, sample=args.sample)
     print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return EXIT_OK if computed else EXIT_IO
 
 
 def _cmd_verify(args):
@@ -357,10 +360,12 @@ def _cmd_verify(args):
     if computed is None:
         print(json.dumps(report, indent=2))
         return EXIT_IO
-    consts, rates, cache = computed
+    _, rates = computed
     checks = {}
     if not args.rate_only:
-        thm1 = rate_thm1(consts, cache)
+        # Unclamped, as this check has always read it: rates.thm1_beta clamps
+        # a vacuous (negative) bound to 0.
+        thm1 = rates.raw["thm1_beta"]
         means, errs = empirical_contraction(
             SolverKind.GPROJ, problem, args.trials, args.steps, args.seed
         )

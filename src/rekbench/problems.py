@@ -72,25 +72,12 @@ def _checked_vector(values, name, size):
     return vec
 
 
-@dataclass(frozen=True)
-class RangeSplit:
-    b_range: np.ndarray
-    b_perp: np.ndarray
-
-
 def gen_gaussian(m, n, seed):
     """Seeded i.i.d. standard-normal m x n matrix (bitwise reproducible)."""
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     g = rngmod.stream(seed, rngmod.method_tag("gen_gaussian"))
     return DenseMatrix(g.standard_normal((m, n)))
-
-
-def range_split(A, b):
-    """Orthogonal split of b into its range(A) and range(A)-perp parts."""
-    b = np.asarray(b, dtype=np.float64)
-    b_range = A.matvec(direct_least_squares(A, b))
-    return RangeSplit(b_range, b - b_range)
 
 
 def project_off_range(A, v):
@@ -430,4 +417,6 @@ def load_problem(directory):
     if os.path.exists(meta_path):
         with open(meta_path, "r", encoding="ascii") as fh:
             meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise ValueError(f"{meta_path} must hold a JSON object, not {type(meta).__name__}")
     return LsProblem(A=A, b=b, x_star=x_star, r=r, label=meta.get("label", ""), meta=meta)

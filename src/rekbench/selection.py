@@ -13,14 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class AlreadyConverged(Exception):
-    """Selection was asked to act on an exactly zero residual."""
-
-
-class DegenerateProblemError(ValueError):
-    """Population too small to sample a distinct pair from."""
-
-
 def scores_from_residual(residual, sq_norms, out=None, positive=None):
     """(residual_sq, scores), scores = residual_sq / sq_norms (0 where the norm is 0).
 
@@ -40,10 +32,9 @@ def scores_from_residual(residual, sq_norms, out=None, positive=None):
 def greedy_threshold(max_score, total_sq, frob_sq):
     """epsilon = (max_score / total_sq + 1 / frob_sq) / 2.
 
-    total_sq is the sum of residual_sq, the squared norm of the residual.
+    total_sq is the sum of residual_sq, the squared norm of the residual,
+    and must be positive.
     """
-    if total_sq <= 0.0:
-        raise AlreadyConverged("residual is zero")
     return 0.5 * (max_score / total_sq + 1.0 / frob_sq)
 
 
@@ -62,11 +53,8 @@ def build_index_set(residual_sq, sq_norms, bound, argmax):
 
 
 def cumulative_weights(weights):
-    """The CDF of a draw proportional to weights, as rng.choice builds it."""
-    total = weights.sum()
-    if total <= 0.0:
-        raise AlreadyConverged("all selection weights are zero")
-    cdf = (weights / total).cumsum()
+    """The CDF of a draw proportional to weights (positive sum), as rng.choice builds it."""
+    cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     return cdf
 
@@ -116,11 +104,9 @@ def weighted_pick_norms(sq_norms, index_set, rng):
 
 
 def simple_random_sample(population, fraction, rng):
-    """Sorted uniform sample without replacement, size max(2, round(frac * pop))."""
+    """Sorted uniform sample without replacement, size max(2, round(frac * pop)); pop >= 2."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
-    if population < 2:
-        raise DegenerateProblemError("population must be at least 2")
     size = min(population, max(2, round(fraction * population)))
     return np.sort(rng.choice(population, size=size, replace=False))
 
@@ -128,11 +114,9 @@ def simple_random_sample(population, fraction, rng):
 def top_two(scores, sorted_domain):
     """(first, second) of sorted_domain by score; ties -> lowest index.
 
-    scores[k] is the score of sorted_domain[k].
+    scores[k] is the score of sorted_domain[k]; the domain holds at least 2.
     """
     domain = np.asarray(sorted_domain)
-    if domain.size < 2:
-        raise DegenerateProblemError("top_two needs a domain of at least 2")
     vals = np.array(scores, dtype=np.float64)
     first = int(np.argmax(vals))
     vals[first] = -np.inf

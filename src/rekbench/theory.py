@@ -4,9 +4,11 @@ Monte-Carlo machinery to compare empirical contraction against them.
 Coherence extremes (delta, Delta and their column analogs) come from an
 exact pairwise scan up to a size cap; tau quantities are the Frobenius
 norm squared minus extreme row/column norms; lambda_min is the smallest
-nonzero eigenvalue of the Gram matrix.  Rates that evaluate below zero
-(vacuous bounds, possible for near-orthogonal systems) are clamped to 0
-and flagged by name rather than reported silently.
+nonzero eigenvalue of the Gram matrix.  TheoryConstants also carries
+|A|_F^2, so every rate is a function of the constants alone.  Rates that
+evaluate below zero (vacuous bounds, possible for near-orthogonal
+systems) are clamped to 0 and flagged by name rather than reported
+silently.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .linalg import gram_extreme_eigenvalues
-from .problems import range_split
+from .linalg import build_norm_cache, gram_extreme_eigenvalues
+from .problems import project_off_range
 from .solvers import (
     CONSISTENT_KINDS,
     SolverKind,
@@ -47,6 +49,7 @@ class TheoryConstants:
     tau_t_min: float
     tau_t_max: float
     t: float
+    frob_sq: float
     lambda_min: float
     lambda_max: float
     D: float
@@ -88,8 +91,8 @@ def _coherence_extremes(dense, sample=None, rng=None):
         block = unit[start : start + _BLOCK]
         prods = np.abs(block @ unit.T)
         # Mask the self-pairs on this block's diagonal strip.
-        for bi in range(block.shape[0]):
-            prods[bi, start + bi] = np.nan
+        diag = np.arange(block.shape[0])
+        prods[diag, start + diag] = np.nan
         lo = min(lo, np.nanmin(prods))
         hi = max(hi, np.nanmax(prods))
     return float(min(lo, 1.0)), float(min(hi, 1.0))
@@ -99,7 +102,7 @@ def _coherence_combination(lo, hi):
     return min(lo * lo * (1 - lo) / (1 + lo), hi * hi * (1 - hi) / (1 + hi))
 
 
-def compute_constants(A, cache, sample=None, seed=0):
+def compute_constants(A, sample=None):
     """Exact TheoryConstants, or a flagged sampled approximation.
 
     sample=None scans all row/column pairs (O(m^2 + n^2) pairs, capped);
@@ -114,23 +117,26 @@ def compute_constants(A, cache, sample=None, seed=0):
             f"{m}x{n} exceeds the {PAIRWISE_CAP} pairwise-scan cap; "
             "pass a sample size for an approximate scan"
         )
-    rng = rngmod.stream(seed, rngmod.method_tag("constants_sample"))
+    norms = build_norm_cache(A)
+    frob_sq = norms.frob_sq
+    rng = rngmod.stream(0, rngmod.method_tag("constants_sample"))
     dense = A.to_dense()
     delta, Delta = _coherence_extremes(dense, sample, rng)
     delta_t, Delta_t = _coherence_extremes(dense.T, sample, rng)
-    row_sq = cache.row_sq_norms[cache.row_sq_norms > 0]
-    col_sq = cache.col_sq_norms[cache.col_sq_norms > 0]
+    row_sq = norms.row_sq_norms[norms.row_sq_norms > 0]
+    col_sq = norms.col_sq_norms[norms.col_sq_norms > 0]
     lam_min, lam_max = gram_extreme_eigenvalues(A)
     return TheoryConstants(
         delta=delta,
         Delta=Delta,
         delta_t=delta_t,
         Delta_t=Delta_t,
-        tau_min=float(cache.frob_sq - row_sq.max()) if row_sq.size else 0.0,
-        tau_max=float(cache.frob_sq - row_sq.min()) if row_sq.size else 0.0,
-        tau_t_min=float(cache.frob_sq - col_sq.max()) if col_sq.size else 0.0,
-        tau_t_max=float(cache.frob_sq - col_sq.min()) if col_sq.size else 0.0,
+        tau_min=float(frob_sq - row_sq.max()) if row_sq.size else 0.0,
+        tau_max=float(frob_sq - row_sq.min()) if row_sq.size else 0.0,
+        tau_t_min=float(frob_sq - col_sq.max()) if col_sq.size else 0.0,
+        tau_t_max=float(frob_sq - col_sq.min()) if col_sq.size else 0.0,
         t=float(row_sq.min()) if row_sq.size else 0.0,
+        frob_sq=frob_sq,
         lambda_min=lam_min,
         lambda_max=lam_max,
         D=_coherence_combination(delta, Delta),
@@ -141,48 +147,39 @@ def compute_constants(A, cache, sample=None, seed=0):
     )
 
 
-def rate_thm1(c, cache):
-    """Greedy column-projection contraction factor.
+def _greedy_rate(c, tau, weight):
+    """1 - weight * (|A|_F^2 / tau + 1) * lambda_min / |A|_F^2; 0 when tau = 0.
 
-    1 - (|A|_F^2 / tau~_max + 1) * lambda_min / (2 |A|_F^2); 0 for the
-    degenerate single-column case tau~_max = 0.
+    The greedy contraction factor: weight 1/2 for the 1-D greedy rules,
+    1 / (1 + Delta) for their 2-D pairs.  tau = 0 is the degenerate case of
+    a single nonzero line on the axis.
     """
-    if c.tau_t_max <= 0.0:
-        return 0.0
-    return 1.0 - 0.5 * (cache.frob_sq / c.tau_t_max + 1.0) * c.lambda_min / cache.frob_sq
+    return 1.0 - weight * (c.frob_sq / tau + 1.0) * c.lambda_min / c.frob_sq if tau > 0 else 0.0
 
 
-def rates_all(c, cache, c_omega_rows=None, c_omega_cols=None):
+def _argmax_rate(c, tau):
+    """1 - lambda_min / tau, the largest-score contraction factor; 0 when tau = 0."""
+    return 1.0 - c.lambda_min / tau if tau > 0 else 0.0
+
+
+def rates_all(c, c_omega_rows=None, c_omega_cols=None):
     """All computable bound rates and prefactors.
 
     Bounds whose constants are purely existential (no computable value)
     are excluded; the data-informed rates thm8_* are evaluated only when
     an empirical (c, omega) pair is supplied for the respective axis.
     """
-    frob_sq = cache.frob_sq
     raw = {}
-    raw["thm1_beta"] = rate_thm1(c, cache)
+    raw["thm1_beta"] = _greedy_rate(c, c.tau_t_max, 0.5)
     raw["thm2_beta"] = raw["thm1_beta"]
-    raw["thm2_alpha"] = (
-        1.0 - 0.5 * (frob_sq / c.tau_max + 1.0) * c.lambda_min / frob_sq
-        if c.tau_max > 0
-        else 0.0
-    )
-    raw["thm2_prefactor"] = 1.0 + 2.0 * frob_sq / c.t if c.t > 0 else math.inf
-    raw["thm3_beta_hat"] = 1.0 - c.lambda_min / c.tau_t_max if c.tau_t_max > 0 else 0.0
-    raw["thm4_alpha_hat"] = 1.0 - c.lambda_min / c.tau_max if c.tau_max > 0 else 0.0
+    raw["thm2_alpha"] = _greedy_rate(c, c.tau_max, 0.5)
+    raw["thm2_prefactor"] = 1.0 + 2.0 * c.frob_sq / c.t if c.t > 0 else math.inf
+    raw["thm3_beta_hat"] = _argmax_rate(c, c.tau_t_max)
+    raw["thm4_alpha_hat"] = _argmax_rate(c, c.tau_max)
     raw["thm4_beta_hat"] = raw["thm3_beta_hat"]
     raw["thm4_prefactor"] = 1.0 + 2.0 * c.tau_max / c.t if c.t > 0 else math.inf
-    raw["thm7_alpha1"] = (
-        1.0 - (1.0 / (1.0 + c.Delta)) * (frob_sq / c.tau_max + 1.0) * c.lambda_min / frob_sq
-        if c.tau_max > 0
-        else 0.0
-    )
-    raw["thm7_beta1"] = (
-        1.0 - (1.0 / (1.0 + c.Delta_t)) * (frob_sq / c.tau_t_max + 1.0) * c.lambda_min / frob_sq
-        if c.tau_t_max > 0
-        else 0.0
-    )
+    raw["thm7_alpha1"] = _greedy_rate(c, c.tau_max, 1.0 / (1.0 + c.Delta))
+    raw["thm7_beta1"] = _greedy_rate(c, c.tau_t_max, 1.0 / (1.0 + c.Delta_t))
 
     def _thm8(tau, delta, c_omega):
         if c_omega is None or tau <= 0:
@@ -208,7 +205,7 @@ def rates_all(c, cache, c_omega_rows=None, c_omega_cols=None):
     return BoundRates(vacuous=vacuous, raw=raw, **clamped)
 
 
-def empirical_contraction(kind, problem, trials, steps, seed=0, fraction=0.01):
+def empirical_contraction(kind, problem, trials, steps, seed=0):
     """Per-step mean error-contraction ratios with standard errors.
 
     The error is z - b_perp for projection/extended methods and x - x_star
@@ -217,26 +214,26 @@ def empirical_contraction(kind, problem, trials, steps, seed=0, fraction=0.01):
     are skipped).
     """
     kind = SolverKind(kind)
-    config = StopConfig(fraction=fraction)
+    config = StopConfig()
     caches = build_caches(problem.A, kind)
-    if kind in CONSISTENT_KINDS:
+    consistent = kind in CONSISTENT_KINDS
+    if consistent:
         if problem.x_star is None:
             raise ValueError("consistent-method contraction needs x_star")
-        target = ("x", np.asarray(problem.x_star, dtype=np.float64))
+        target = problem.x_star
     else:
-        b_perp = problem.r
-        if b_perp is None:
-            b_perp = range_split(problem.A, problem.b).b_perp
-        target = ("z", np.asarray(b_perp, dtype=np.float64))
+        target = problem.r if problem.r is not None else project_off_range(problem.A, problem.b)
+
+    def error_sq(state):
+        return float(np.sum(((state.x if consistent else state.z) - target) ** 2))
+
     ratios = np.full((steps, trials), np.nan)
     for trial in range(trials):
         state = SolverState.initial(kind, problem, rngmod.cell_seed(seed, kind.value, 0, trial))
-        vec = state.x if target[0] == "x" else state.z
-        prev = float(np.sum((vec - target[1]) ** 2))
+        prev = error_sq(state)
         for j in range(steps):
             step(kind, state, problem, caches, config)
-            vec = state.x if target[0] == "x" else state.z
-            cur = float(np.sum((vec - target[1]) ** 2))
+            cur = error_sq(state)
             if prev > 1e-300:
                 ratios[j, trial] = cur / prev
             prev = cur

@@ -21,10 +21,6 @@ class ParallelPairError(ValueError):
     """The selected pair is (numerically) parallel; use the 1-D fallback."""
 
 
-class ZeroNormError(ValueError):
-    """A selected row/column has zero norm."""
-
-
 @dataclass(frozen=True)
 class PairGeometry:
     denom: float  # |v1|^2 |v2|^2 - <v1, v2>^2
@@ -32,9 +28,7 @@ class PairGeometry:
 
 
 def pair_geometry_from(dot, n1_sq, n2_sq):
-    """PairGeometry from the inner product and squared norms of a pair."""
-    if n1_sq <= 0.0 or n2_sq <= 0.0:
-        raise ZeroNormError("pair geometry needs two nonzero vectors")
+    """PairGeometry from the inner product and squared norms of two nonzero lines."""
     mu = dot / np.sqrt(n1_sq * n2_sq)
     return PairGeometry(
         denom=float(n1_sq * n2_sq - dot * dot),

@@ -13,6 +13,7 @@ from rekbench.problems import (
     gen_gaussian,
     gen_parallel_beam,
     make_inconsistent_problem,
+    project_off_range,
     read_matrix_market,
     write_matrix_market,
 )
@@ -28,7 +29,7 @@ from rekbench.solvers import (
     solve,
     step,
 )
-from rekbench.theory import compute_constants, empirical_contraction, rate_thm1, rates_all
+from rekbench.theory import compute_constants, empirical_contraction, rates_all
 from rekbench.updates import ParallelPairError
 from test_solvers import consistent_problem
 from test_updates import col_step, row_coeffs, row_step
@@ -89,8 +90,7 @@ def test_criterion_2_oracle_convergence_all_extended():
 def test_criterion_3_thm1_monte_carlo():
     A = gen_gaussian(40, 20, 42)
     problem = make_inconsistent_problem(A, 42)
-    cache = build_norm_cache(A)
-    bound = rate_thm1(compute_constants(A, cache), cache)
+    bound = rates_all(compute_constants(A)).thm1_beta
     t0 = time.time()
     means, errs = empirical_contraction(SolverKind.GPROJ, problem, 200, 20, seed=11)
     elapsed = time.time() - t0
@@ -102,17 +102,14 @@ def test_criterion_3_thm1_monte_carlo():
 
 def test_criterion_4_thm3_pathwise():
     A = gen_gaussian(40, 20, 42)
-    cache = build_norm_cache(A)
-    bound = rates_all(compute_constants(A, cache), cache).thm3_beta_hat
+    bound = rates_all(compute_constants(A)).thm3_beta_hat
     caches = build_caches(A)
     violations = 0
     for run in range(50):
         b = philox(500 + run).standard_normal(40)
         problem = make_inconsistent_problem(A, 900 + run)
         problem.b = b
-        from rekbench.problems import range_split
-
-        b_perp = range_split(A, b).b_perp
+        b_perp = project_off_range(A, b)
         state = SolverState.initial(SolverKind.SPROJ, problem, seed=run)
         prev = float(np.sum((state.z - b_perp) ** 2))
         for _ in range(20):

@@ -5,9 +5,9 @@ import threading
 import numpy as np
 import pytest
 
-from rekbench import cli, linalg
+from rekbench import cli, linalg, theory
 from rekbench.cli import main
-from rekbench.problems import load_problem
+from rekbench.problems import gen_gaussian, load_problem, write_matrix_market
 from rekbench.solvers import solve
 
 
@@ -114,6 +114,17 @@ def test_solve_bundle_with_nan_b_io_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "b has non-finite entries" in err
+
+
+@pytest.mark.parametrize("meta", ["[1, 2]", '"label"'])
+def test_solve_bundle_with_non_object_meta_io_error(capsys, tmp_path, meta):
+    path = gen_bundle(capsys, tmp_path)
+    (tmp_path / "prob" / "meta.json").write_text(meta)
+    code, out, err = run(capsys, "solve", "--method", "GREK", "--problem", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must hold a JSON object" in err
 
 
 def test_solve_strict_non_convergence(capsys, tmp_path):
@@ -384,6 +395,35 @@ def test_constants_sample_of_two_is_accepted(capsys, tmp_path):
     code, out, _ = run(capsys, "constants", "--problem", path, "--sample", "2")
     assert code == 0
     assert json.loads(out)["constants"]["approximate"] is True
+
+
+def test_constants_sample_beyond_oracle_cap_is_io_error(capsys, tmp_path):
+    path = str(tmp_path / "A.mtx")
+    write_matrix_market(gen_gaussian(linalg.ORACLE_MAX_ROWS + 1, 3, 1), path)
+    code, out, err = run(capsys, "constants", "--matrix", path, "--sample", "10")
+    assert code == 2
+    assert out == ""
+    assert "oracle cap" in err and err.count("\n") == 1
+
+
+def test_constants_beyond_pairwise_cap_is_io_error(capsys, tmp_path):
+    path = str(tmp_path / "A.mtx")
+    write_matrix_market(gen_gaussian(theory.PAIRWISE_CAP + 1, 3, 1), path)
+    code, out, _ = run(capsys, "constants", "--matrix", path)
+    assert code == 2
+    payload = json.loads(out)
+    assert "pairwise-scan cap" in payload["error"]
+    assert "--sample" in payload["note"]
+
+
+def test_verify_beyond_pairwise_cap_is_io_error(capsys, tmp_path):
+    path = gen_bundle(capsys, tmp_path, m=theory.PAIRWISE_CAP + 1, n=3)
+    code, out, _ = run(capsys, "verify", "--problem", path)
+    assert code == 2
+    report = json.loads(out)
+    assert report["problem"] == load_problem(path).label
+    assert "pairwise-scan cap" in report["error"]
+    assert "checks" not in report
 
 
 @pytest.mark.parametrize(

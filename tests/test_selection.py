@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from rekbench.linalg import DenseMatrix, build_norm_cache
 from rekbench.selection import (
-    AlreadyConverged,
-    DegenerateProblemError,
     build_index_set,
     cumulative_weights,
     greedy_threshold,
@@ -123,12 +121,6 @@ def test_greedy_threshold_formula_oracle():
     assert greedy_threshold(scores.max(), residual_sq.sum(), frob) == pytest.approx(expected, rel=1e-12)
 
 
-def test_greedy_threshold_converged_signal():
-    residual_sq, scores = scores_from_residual(np.zeros(3), np.ones(3))
-    with pytest.raises(AlreadyConverged):
-        greedy_threshold(scores.max(), residual_sq.sum(), 3.0)
-
-
 def test_build_index_set_argmax_only():
     A = DenseMatrix(np.eye(2))
     cache = build_norm_cache(A)
@@ -231,11 +223,6 @@ def test_simple_random_sample_frequency():
     freq = counts / reps
     sigma = np.sqrt(frac * (1 - frac) / reps)
     assert np.all(np.abs(freq - frac) <= 3 * sigma + 1e-9)
-
-
-def test_simple_random_sample_degenerate():
-    with pytest.raises(DegenerateProblemError):
-        simple_random_sample(1, 0.5, rng())
 
 
 def test_top_two_simple():

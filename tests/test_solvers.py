@@ -3,7 +3,7 @@ import pytest
 
 from rekbench import solvers
 from rekbench.linalg import DenseMatrix, DualSparseMatrix, build_norm_cache, direct_least_squares
-from rekbench.problems import LsProblem, gen_gaussian, make_inconsistent_problem, range_split
+from rekbench.problems import LsProblem, gen_gaussian, make_inconsistent_problem, project_off_range
 from rekbench.solvers import (
     CONSISTENT_KINDS,
     EXTENDED_KINDS,
@@ -182,7 +182,7 @@ def test_solve_gproj_matches_range_split():
     state = SolverState.initial(SolverKind.GPROJ, problem, seed=2)
     for _ in range(rec.iters):
         step(SolverKind.GPROJ, state, problem, caches, StopConfig())
-    b_perp = range_split(problem.A, problem.b).b_perp
+    b_perp = project_off_range(problem.A, problem.b)
     assert np.linalg.norm(state.z - b_perp) / np.linalg.norm(problem.b) <= 1e-4
 
 

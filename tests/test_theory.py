@@ -8,7 +8,6 @@ from rekbench.theory import (
     ConstantsTooLargeError,
     compute_constants,
     empirical_contraction,
-    rate_thm1,
     rates_all,
 )
 
@@ -16,7 +15,7 @@ from rekbench.theory import (
 def constants_for(values):
     A = DenseMatrix(values)
     cache = build_norm_cache(A)
-    return A, cache, compute_constants(A, cache)
+    return A, cache, compute_constants(A)
 
 
 def test_constants_identity():
@@ -72,46 +71,45 @@ def test_constants_cap():
         rows, cols = 4001, 10
 
     with pytest.raises(ConstantsTooLargeError):
-        compute_constants(FakeBig(), None)
+        compute_constants(FakeBig())
 
 
 def test_constants_sampled_flagged_approximate():
     A = gen_gaussian(60, 20, 3)
-    cache = build_norm_cache(A)
-    exact = compute_constants(A, cache)
-    approx = compute_constants(A, cache, sample=30)
+    exact = compute_constants(A)
+    approx = compute_constants(A, sample=30)
     assert approx.approximate and not exact.approximate
     assert exact.delta <= approx.delta + 1e-12
     assert approx.Delta <= exact.Delta + 1e-12
 
 
 def test_rate_thm1_identity_2():
-    _, cache, c = constants_for(np.eye(2))
-    assert rate_thm1(c, cache) == pytest.approx(0.25)
+    _, _, c = constants_for(np.eye(2))
+    assert rates_all(c).thm1_beta == pytest.approx(0.25)
 
 
 def test_rate_thm1_identity_3():
-    _, cache, c = constants_for(np.eye(3))
-    assert rate_thm1(c, cache) == pytest.approx(7 / 12)
+    _, _, c = constants_for(np.eye(3))
+    assert rates_all(c).thm1_beta == pytest.approx(7 / 12)
 
 
 def test_rate_thm1_formula_oracle():
     A = gen_gaussian(20, 5, 4)
     cache = build_norm_cache(A)
-    c = compute_constants(A, cache)
+    c = compute_constants(A)
     expected = 1 - 0.5 * (cache.frob_sq / c.tau_t_max + 1) * c.lambda_min / cache.frob_sq
-    assert rate_thm1(c, cache) == pytest.approx(expected, rel=1e-14)
+    assert rates_all(c).thm1_beta == pytest.approx(expected, rel=1e-14)
 
 
 def test_rate_thm1_single_column_degenerate():
-    _, cache, c = constants_for([[1.0], [2.0]])
+    _, _, c = constants_for([[1.0], [2.0]])
     assert c.tau_t_max == 0.0
-    assert rate_thm1(c, cache) == 0.0
+    assert rates_all(c).thm1_beta == 0.0
 
 
 def test_rates_identity_2():
-    _, cache, c = constants_for(np.eye(2))
-    rates = rates_all(c, cache)
+    _, _, c = constants_for(np.eye(2))
+    rates = rates_all(c)
     assert rates.thm4_alpha_hat == 0.0
     assert rates.thm4_beta_hat == 0.0
     # Orthogonal rows push the formula below zero: clamped and flagged.
@@ -123,8 +121,8 @@ def test_rates_identity_2():
 def test_rates_formula_oracle():
     A = gen_gaussian(20, 5, 5)
     cache = build_norm_cache(A)
-    c = compute_constants(A, cache)
-    rates = rates_all(c, cache)
+    c = compute_constants(A)
+    rates = rates_all(c)
     frob_sq = cache.frob_sq
     assert rates.thm2_alpha == pytest.approx(
         1 - 0.5 * (frob_sq / c.tau_max + 1) * c.lambda_min / frob_sq, rel=1e-14
@@ -141,9 +139,8 @@ def test_rates_formula_oracle():
 
 def test_rates_thm8_with_supplied_constants():
     A = gen_gaussian(20, 5, 6)
-    cache = build_norm_cache(A)
-    c = compute_constants(A, cache)
-    rates = rates_all(c, cache, c_omega_rows=(2.0, 0.5))
+    c = compute_constants(A)
+    rates = rates_all(c, c_omega_rows=(2.0, 0.5))
     expected = (
         1
         - c.lambda_min / c.tau_max
@@ -162,8 +159,7 @@ def test_empirical_contraction_sproj_identity():
 def test_empirical_contraction_gproj_vs_thm1():
     A = gen_gaussian(40, 20, 42)
     problem = make_inconsistent_problem(A, 42)
-    cache = build_norm_cache(A)
-    bound = rate_thm1(compute_constants(A, cache), cache)
+    bound = rates_all(compute_constants(A)).thm1_beta
     means, errs = empirical_contraction(SolverKind.GPROJ, problem, 100, 15, seed=9)
     assert np.all((means <= bound + 3 * errs) | np.isnan(means))
 
@@ -171,8 +167,7 @@ def test_empirical_contraction_gproj_vs_thm1():
 def test_empirical_contraction_sproj_pathwise_thm3():
     A = gen_gaussian(40, 20, 42)
     problem = make_inconsistent_problem(A, 42)
-    cache = build_norm_cache(A)
-    rates = rates_all(compute_constants(A, cache), cache)
+    rates = rates_all(compute_constants(A))
     means, _ = empirical_contraction(SolverKind.SPROJ, problem, 1, 20, seed=9)
     assert np.all((means <= rates.thm3_beta_hat + 1e-12) | np.isnan(means))
 
@@ -200,8 +195,7 @@ def _mean_final_error_sq(kind, problem, trials, steps, seed):
 def test_global_error_bounds(kind, rate_name, prefactor_name):
     A = gen_gaussian(30, 8, 17)
     problem = make_inconsistent_problem(A, 17)
-    cache = build_norm_cache(A)
-    rates = rates_all(compute_constants(A, cache), cache)
+    rates = rates_all(compute_constants(A))
     rate = getattr(rates, rate_name)
     prefactor = getattr(rates, prefactor_name)
     steps = 12
