@@ -1,8 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rekbench.linalg import DenseMatrix, DualSparseMatrix
-from rekbench.problems import MatrixMarketError, read_matrix_market, write_matrix_market
+from rekbench.problems import (
+    MatrixMarketError,
+    gen_gaussian,
+    parallel_beam_matrix,
+    read_matrix_market,
+    write_matrix_market,
+)
 
 
 def write(tmp_path, text, name="m.mtx"):
@@ -178,3 +186,20 @@ def test_dense_round_trip_exact(tmp_path):
     B = read_matrix_market(path)
     assert isinstance(B, DenseMatrix)
     assert np.array_equal(A.values, B.values)
+
+
+# (first 16 hex digits of the A.mtx sha256), recorded before the writer
+# formatted each file in one join; pins its bytes across that change.
+WRITTEN = {
+    "dense": (lambda: gen_gaussian(40, 10, 7), "5a6e8090ebe1c51d"),
+    "edge": (lambda: DenseMatrix([[0.0, -0.0, 1e-310], [-1.5, 1e300, 2.0 / 3.0]]), "13e23942f042902a"),
+    "sparse": (lambda: parallel_beam_matrix(8, 12, 12), "f3b9daa2e9a350d1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITTEN))
+def test_written_bytes_are_unchanged(tmp_path, name):
+    make, expected = WRITTEN[name]
+    path = tmp_path / "A.mtx"
+    write_matrix_market(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == expected
