@@ -380,8 +380,13 @@ def _cmd_verify(args):
         means3, _ = empirical_contraction(SolverKind.SPROJ, problem, 1, args.steps, args.seed)
         ok3 = np.all((means3 <= thm3 + 1e-12) | np.isnan(means3))
         checks["thm3_sproj"] = {"bound": thm3, "ratios": means3.tolist(), "pass": bool(ok3)}
+        # A vacuous (negative) rate bounds nothing: its check is reported
+        # but cannot fail the report.
+        for name, rate in (("thm1_gproj", "thm1_beta"), ("thm3_sproj", "thm3_beta_hat")):
+            if rate in rates.vacuous:
+                checks[name]["vacuous"] = True
     report["checks"] = checks
-    report["pass"] = all(c["pass"] for c in checks.values()) if checks else True
+    report["pass"] = all(c["pass"] or c.get("vacuous", False) for c in checks.values())
     print(json.dumps(report, indent=2))
     return EXIT_OK if report["pass"] else EXIT_NOT_CONVERGED
 

@@ -246,19 +246,16 @@ def write_matrix_market(A, path):
     Sparse matrices use coordinate format, dense matrices array format, so
     reading the file back reproduces both the type and the exact entries.
     """
+    if A.is_sparse:
+        i, j, v = A.triples()
+        header = f"%%MatrixMarket matrix coordinate real general\n{A.rows} {A.cols} {v.size}\n"
+        body = "".join(map("{} {} {:.17g}\n".format, (i + 1).tolist(), (j + 1).tolist(), v.tolist()))
+    else:
+        header = f"%%MatrixMarket matrix array real general\n{A.rows} {A.cols}\n"
+        body = "".join(map("{:.17g}\n".format, A.values.T.ravel().tolist()))
     with open(path, "w", encoding="ascii") as fh:
-        if A.is_sparse:
-            i, j, v = A.triples()
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            fh.write(f"{A.rows} {A.cols} {v.size}\n")
-            for ri, rj, rv in zip(i, j, v):
-                fh.write(f"{ri + 1} {rj + 1} {rv:.17g}\n")
-        else:
-            fh.write("%%MatrixMarket matrix array real general\n")
-            fh.write(f"{A.rows} {A.cols}\n")
-            for j in range(A.cols):
-                for i in range(A.rows):
-                    fh.write(f"{A.values[i, j]:.17g}\n")
+        fh.write(header)
+        fh.write(body)
 
 
 # ---------------------------------------------------------------------------

@@ -38,18 +38,19 @@ def greedy_threshold(max_score, total_sq, frob_sq):
     return 0.5 * (max_score / total_sq + 1.0 / frob_sq)
 
 
-def build_index_set(residual_sq, sq_norms, bound, argmax):
+def build_index_set(residual_sq, sq_norms, positive, bound, argmax):
     """Indices with residual_sq >= bound * sq_norm (norm > 0), plus argmax.
 
-    bound is epsilon * total_sq, so the test is scores >= epsilon * total_sq;
-    argmax, the index of the largest score, always satisfies it because the
-    max score is at least the weighted average total_sq / frob_sq.
+    positive is sq_norms > 0.  bound is epsilon * total_sq, so the test is
+    scores >= epsilon * total_sq; argmax, the index of the largest score,
+    always satisfies it because the max score is at least the weighted
+    average total_sq / frob_sq.
     """
-    mask = (sq_norms > 0) & (residual_sq >= bound * sq_norms)
+    mask = positive & (residual_sq >= bound * sq_norms)
     # The argmax satisfies the inequality exactly in real arithmetic, so
     # rounding in the threshold product must not be allowed to drop it.
     mask[argmax] = True
-    return np.flatnonzero(mask)
+    return mask.nonzero()[0]
 
 
 def cumulative_weights(weights):
@@ -108,7 +109,9 @@ def simple_random_sample(population, fraction, rng):
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
     size = min(population, max(2, round(fraction * population)))
-    return np.sort(rng.choice(population, size=size, replace=False))
+    sample = rng.choice(population, size=size, replace=False)
+    sample.sort()
+    return sample
 
 
 def top_two(scores, sorted_domain):
@@ -118,6 +121,6 @@ def top_two(scores, sorted_domain):
     """
     domain = np.asarray(sorted_domain)
     vals = np.array(scores, dtype=np.float64)
-    first = int(np.argmax(vals))
+    first = int(vals.argmax())
     vals[first] = -np.inf
-    return int(domain[first]), int(domain[np.argmax(vals)])
+    return int(domain[first]), int(domain[vals.argmax()])

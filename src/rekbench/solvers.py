@@ -29,11 +29,12 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 from . import rng as rngmod
-from .linalg import build_norm_cache
+from .linalg import build_norm_cache, combine_lines
 from .selection import (
     build_index_set,
     cumulative_weights,
@@ -80,7 +81,7 @@ class Method:
     rows: bool  # steps x against r = b - z - Ax (or b - Ax without z)
     cols: bool  # steps z against g = A^T z
 
-    @property
+    @cached_property
     def axes(self):
         return ("row",) * self.rows + ("column",) * self.cols
 
@@ -252,19 +253,17 @@ def _keeps(method, ax):
     return method.rule in _WHOLE_AXIS_RULES or ax.gram is not None
 
 
-def _entries(method, axis, state, problem, caches, idx):
-    """Entries idx (an index array) of r for axis 'row', of g = A^T z for 'column'.
+def _entries(row, kept, state, problem, idx):
+    """Entries idx (an index array) of r for a row axis, of g = A^T z for a column axis.
 
     A kept residual is read; otherwise r_i = b_i - z_i - a_i x (b_i - a_i x
     without z) and g_j = a_j^T z are formed from the current x and z.
     """
-    if axis == "row":
-        if _keeps(method, caches.rows):
-            return state.r[idx]
+    if kept:
+        return (state.r if row else state.g)[idx]
+    if row:
         b = problem.b[idx]
         return (b if state.z is None else b - state.z[idx]) - problem.A.row_dots(idx, state.x)
-    if _keeps(method, caches.cols):
-        return state.g[idx]
     return problem.A.col_dots(idx, state.z)
 
 
@@ -278,7 +277,8 @@ def _select(method, axis, state, problem, caches, config):
     top score(s); a domain of one line gives a 1-D step.  All scores zero
     (a zero residual) means no-op.
     """
-    ax = caches.rows if axis == "row" else caches.cols
+    row = axis == "row"
+    ax = caches.rows if row else caches.cols
     rule, rng = method.rule, state.rng
     domain = ax.nonzero
     if rule in _SAMPLE_RULES and ax.sq_norms.size > 1:
@@ -288,33 +288,35 @@ def _select(method, axis, state, problem, caches, config):
         return None
 
     if rule in _WHOLE_AXIS_RULES:
-        residual = state.r if axis == "row" else state.g
+        residual = state.r if row else state.g
         residual_sq, scores = scores_from_residual(
             residual, ax.sq_norms, (ax.residual_sq, ax.scores), ax.positive
         )
-        top = int(np.argmax(scores))
+        # Zero-norm lines score 0, so top is also the top line of the domain.
+        top = int(scores.argmax())
         if scores[top] <= 0.0:
             return None
         if rule == "greedy":
             total_sq = float(residual_sq.sum())
-            bound = greedy_threshold(scores[top], total_sq, caches.norms.frob_sq) * total_sq
-            domain = build_index_set(residual_sq, ax.sq_norms, bound, top)
-            cdf = cumulative_weights(residual_sq[domain])
-        else:
+            bound = greedy_threshold(float(scores[top]), total_sq, caches.norms.frob_sq) * total_sq
+            domain = build_index_set(residual_sq, ax.sq_norms, ax.positive, bound, top)
+        elif domain.size < scores.size:
             scores = scores[domain]
     elif rule == "top_sample":
-        residual = _entries(method, axis, state, problem, caches, domain)
+        residual = _entries(row, _keeps(method, ax), state, problem, domain)
         _, scores = scores_from_residual(residual, ax.sq_norms[domain])
-        if scores.max() <= 0.0:
+        top = int(scores.argmax())
+        if scores[top] <= 0.0:
             return None
-    else:
-        cdf = ax.cdf if rule == "norm" else cumulative_weights(ax.sq_norms[domain])
+        top = int(domain[top])
 
     single = not method.pair or domain.size == 1
     if rule in _TOP_RULES:
-        if single:
-            return int(domain[np.argmax(scores)]), None
-        return top_two(scores, domain)
+        return (top, None) if single else top_two(scores, domain)
+    if rule == "greedy":
+        cdf = cumulative_weights(residual_sq[domain])
+    else:
+        cdf = ax.cdf if rule == "norm" else cumulative_weights(ax.sq_norms[domain])
     k1 = pick_from_cdf(cdf, rng)
     if single:
         return int(domain[k1]), None
@@ -325,26 +327,15 @@ def _select(method, axis, state, problem, caches, config):
 # Update application with incremental residual maintenance
 
 
-def _combination(add_scaled, size, idx, coeffs):
-    """delta = sum_k coeffs[k] * (row or column idx[k] of A), as a dense vector."""
-    delta = np.zeros(size)
-    for i, c in zip(idx, coeffs):
-        add_scaled(delta, i, c)
-    return delta
-
-
 def _residual_change(gram, product, delta, idx, coeffs):
-    """product(delta), where product is A @ or A^T @ and delta a _combination.
+    """product(delta), where product is A @ or A^T @ and delta the step's combination of lines.
 
     Read from the cached Gram rows of the chosen lines when there is a
     Gram matrix for this axis, else computed as one product.
     """
     if gram is None:
         return product(delta)
-    out = coeffs[0] * gram[idx[0]]
-    if len(idx) == 2:
-        out += coeffs[1] * gram[idx[1]]
-    return out
+    return combine_lines(gram, idx, coeffs)
 
 
 def _axis_step(state, problem, caches, axis, i1, i2):
@@ -361,46 +352,47 @@ def _axis_step(state, problem, caches, axis, i1, i2):
     A = problem.A
     row = axis == "row"
     ax = caches.rows if row else caches.cols
-    sq_norms = ax.sq_norms
+    kept = _keeps(method, ax)
     pair = i2 is not None and i2 != i1
-    lines = np.array((i1, i2) if pair else (i1,))
-    residual = _entries(method, axis, state, problem, caches, lines)
+    idx = (i1, i2) if pair else (i1,)
+    if kept:
+        residual, at = (state.r if row else state.g), idx
+    else:
+        residual, at = _entries(row, False, state, problem, np.array(idx)), (0, 1)
     # Negation is exact, so the column formulas see -g bit for bit.
     sign = 1.0 if row else -1.0
-    r1 = sign * float(residual[0])
-    idx = None
+    r1 = sign * float(residual[at[0]])
+    n1 = float(ax.sq_norms[i1])
+    coeffs = None
     if pair:
         dot = A.row_pair_dot(i1, i2) if row else A.col_pair_dot(i1, i2)
+        r2 = sign * float(residual[at[1]])
         try:
-            gamma, lam = two_dim_row_coeffs(
-                dot, sq_norms[i1], sq_norms[i2], r1, sign * float(residual[1])
-            )
+            coeffs = two_dim_row_coeffs(dot, n1, float(ax.sq_norms[i2]), r1, r2)
         except ParallelPairError:
             pass
-        else:
-            idx, coeffs = (i1, i2), (gamma, lam)
-    if idx is None:
-        c = r1 / sq_norms[i1]
+    if coeffs is None:
+        c = r1 / n1
         if c == 0.0:
             return
         idx, coeffs = (i1,), (c,)
     if row:
-        dx = _combination(A.add_scaled_row, A.cols, idx, coeffs)
+        dx = A.row_combination(idx, coeffs)
         state.x += dx
-        if _keeps(method, ax):
+        if kept:
             state.r -= _residual_change(ax.gram, A.matvec, dx, idx, coeffs)
     else:
-        dz = _combination(A.add_scaled_col, A.rows, idx, coeffs)
+        dz = A.col_combination(idx, coeffs)
         state.z += dz
         if method.rows and _keeps(method, caches.rows):
             state.r -= dz
-        if _keeps(method, ax):
+        if kept:
             state.g += _residual_change(ax.gram, A.rmatvec, dz, idx, coeffs)
 
 
 def step(kind, state, problem, caches, config):
     """Advance the state by exactly one iteration of the named method."""
-    method = METHODS[SolverKind(kind)]
+    method = METHODS[state.kind]
     # Both axes pick from the state at the start of the step; the row step
     # runs first, so the entries it forms see the pre-step z.
     chosen = [

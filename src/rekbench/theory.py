@@ -205,13 +205,20 @@ def rates_all(c, c_omega_rows=None, c_omega_cols=None):
     return BoundRates(vacuous=vacuous, raw=raw, **clamped)
 
 
+# |e|^2 / |e_0|^2 at which an error is rounding noise: |e| = 1e-12 |e_0|,
+# some 4500 units in the last place of |e_0|.
+ROUNDING_FLOOR = 1e-24
+
+
 def empirical_contraction(kind, problem, trials, steps, seed=0):
     """Per-step mean error-contraction ratios with standard errors.
 
     The error is z - b_perp for projection/extended methods and x - x_star
     for consistent-system row methods; ratios are |e_j|^2 / |e_{j-1}|^2
-    averaged over trials (steps where the previous error already vanished
-    are skipped).
+    averaged over trials.  A step is skipped where the previous error has
+    already reached the rounding floor: |e|^2 at most ROUNDING_FLOOR times
+    the trial's first |e_0|^2, where what is left is rounding noise that
+    the method cannot contract.
     """
     kind = SolverKind(kind)
     config = StopConfig()
@@ -231,10 +238,11 @@ def empirical_contraction(kind, problem, trials, steps, seed=0):
     for trial in range(trials):
         state = SolverState.initial(kind, problem, rngmod.cell_seed(seed, kind.value, 0, trial))
         prev = error_sq(state)
+        floor = max(ROUNDING_FLOOR * prev, 1e-300)
         for j in range(steps):
             step(kind, state, problem, caches, config)
             cur = error_sq(state)
-            if prev > 1e-300:
+            if prev > floor:
                 ratios[j, trial] = cur / prev
             prev = cur
     means = np.full(steps, np.nan)

@@ -10,9 +10,8 @@ has no 2-D step; the solver falls back to the 1-D step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+import math
+from typing import NamedTuple
 
 PARALLEL_TOL = 1e-12
 
@@ -21,19 +20,19 @@ class ParallelPairError(ValueError):
     """The selected pair is (numerically) parallel; use the 1-D fallback."""
 
 
-@dataclass(frozen=True)
-class PairGeometry:
+class PairGeometry(NamedTuple):
     denom: float  # |v1|^2 |v2|^2 - <v1, v2>^2
     parallel: bool  # 1 - mu^2 <= PARALLEL_TOL, mu the cosine of the pair
 
 
 def pair_geometry_from(dot, n1_sq, n2_sq):
-    """PairGeometry from the inner product and squared norms of two nonzero lines."""
-    mu = dot / np.sqrt(n1_sq * n2_sq)
-    return PairGeometry(
-        denom=float(n1_sq * n2_sq - dot * dot),
-        parallel=bool(1.0 - mu * mu <= PARALLEL_TOL),
-    )
+    """PairGeometry from the inner product and squared norms of two nonzero lines.
+
+    The solver passes Python floats, which round as numpy's float64 scalars
+    do at a fraction of their cost per operation.
+    """
+    mu = dot / math.sqrt(n1_sq * n2_sq)
+    return PairGeometry(n1_sq * n2_sq - dot * dot, 1.0 - mu * mu <= PARALLEL_TOL)
 
 
 def two_dim_row_coeffs(dot, n1_sq, n2_sq, r1, r2):

@@ -201,7 +201,8 @@ def test_criterion_8_greedy_set_nonempty_10k():
         cache = build_norm_cache(DenseMatrix(np.sqrt(sq_norms)[:, None]))
         argmax = int(np.argmax(scores))
         eps = greedy_threshold(scores[argmax], total_sq, cache.frob_sq)
-        index_set = build_index_set(residual_sq, cache.row_sq_norms, eps * total_sq, argmax)
+        norms = cache.row_sq_norms
+        index_set = build_index_set(residual_sq, norms, norms > 0, eps * total_sq, argmax)
         assert index_set.size > 0, "empty greedy set"
         assert argmax in index_set, "argmax not in greedy set"
         checked += 1

@@ -293,6 +293,27 @@ def test_verify_rate_only(capsys, tmp_path):
     assert json.loads(out)["checks"] == {}
 
 
+def test_verify_vacuous_bounds_do_not_fail(capsys, tmp_path):
+    # All-ones 3x2: every rate is vacuous, and GPROJ and SPROJ reach b_perp
+    # in one step, after which the error is rounding noise.
+    path = tmp_path / "ones"
+    path.mkdir()
+    write_matrix_market(linalg.DenseMatrix(np.ones((3, 2))), path / "A.mtx")
+    (path / "b.txt").write_text("1\n2\n4\n")
+    code, out, _ = run(
+        capsys, "verify", "--problem", str(path), "--trials", "20", "--steps", "5"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["pass"] is True
+    for name, key in (("thm1_gproj", "mean_ratios"), ("thm3_sproj", "ratios")):
+        check = report["checks"][name]
+        assert check["vacuous"] is True
+        assert check[key][0] < 1e-24
+        assert all(np.isnan(check[key][1:]))
+    assert report["checks"]["thm1_gproj"]["pass"] is False
+
+
 def test_constants_output(capsys, tmp_path):
     path = gen_bundle(capsys, tmp_path)
     code, out, _ = run(capsys, "constants", "--matrix", str(tmp_path / "prob" / "A.mtx"))

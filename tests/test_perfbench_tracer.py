@@ -37,3 +37,30 @@ def test_tracer_installs_times_and_uninstalls():
     assert calls["solvers.step"] == 20
     assert calls["updates.two_dim_row_coeffs"] > 0
     assert calls["updates.pair_geometry_from"] == calls["updates.two_dim_row_coeffs"]
+
+
+HOT_LOOP = (
+    "selection.build_index_set",
+    "selection.top_two",
+    "selection.simple_random_sample",
+    "linalg.row_pair_dot",
+    "linalg.col_pair_dot",
+    "linalg.matvec",
+    "updates.two_dim_row_coeffs",
+)
+
+
+def test_tracer_sees_the_hot_loop():
+    # The per-layer timings read these calls; a step that bypassed them
+    # would leave their layers at zero.
+    tracer_mod = load_tracer()
+    problem = make_inconsistent_problem(gen_gaussian(60, 15, 1), 1)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for kind in (SolverKind.GREK, SolverKind.TSREK, SolverKind.TSREKS):
+            solve(kind, problem, StopConfig(max_iters=50, fraction=0.5), seed=0)
+    finally:
+        tracer.uninstall()
+    calls = {name: c for name, (c, _, _) in tracer.aggregates()[0].items()}
+    assert {name: calls[name] > 0 for name in HOT_LOOP} == dict.fromkeys(HOT_LOOP, True)

@@ -38,7 +38,8 @@ def greedy_set(s, cache):
     total_sq = float(residual_sq.sum())
     argmax = int(np.argmax(scores))
     eps = greedy_threshold(scores[argmax], total_sq, cache.frob_sq)
-    return build_index_set(residual_sq, cache.row_sq_norms, eps * total_sq, argmax)
+    norms = cache.row_sq_norms
+    return build_index_set(residual_sq, norms, norms > 0, eps * total_sq, argmax)
 
 
 def test_row_scores_identity():
