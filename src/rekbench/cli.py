@@ -120,7 +120,7 @@ class _IoFailure(Exception):
 
 def _cmd_gen(args):
     if args.generator == "gaussian":
-        A = _checked(gen_gaussian, args.m, args.n, args.seed)
+        A = gen_gaussian(args.m, args.n, args.seed)
         if args.inconsistent:
             problem = make_inconsistent_problem(A, args.seed)
         else:
@@ -132,7 +132,7 @@ def _cmd_gen(args):
                 {"seed": args.seed, "generator": "gen_gaussian"},
             )
     elif args.generator == "tomo":
-        problem = _checked(gen_parallel_beam, args.side, args.angles, args.detectors, args.seed)
+        problem = gen_parallel_beam(args.side, args.angles, args.detectors, args.seed)
     else:
         A = read_matrix_market(args.path)
         problem = make_inconsistent_problem(A, args.seed)
@@ -169,16 +169,6 @@ class _UsageFailure(Exception):
     pass
 
 
-def _checked(build, *args, **kwargs):
-    """build(*args, **kwargs), with its out-of-range ValueError as a usage error."""
-    try:
-        return build(*args, **kwargs)
-    except OracleTooLargeError:  # a size cap, not a usage error: exit 2
-        raise
-    except ValueError as exc:
-        raise _UsageFailure(str(exc)) from None
-
-
 def _at_least_one(name, value):
     if value < 1:
         raise _UsageFailure(f"{name} must be at least 1, got {value}")
@@ -194,8 +184,7 @@ def _cmd_solve(args):
             fraction["fraction"] = args.fraction
         else:
             print(f"warning: --fraction ignored for {kind.value}", file=sys.stderr)
-    config = _checked(
-        StopConfig,
+    config = StopConfig(
         tol=args.tol,
         check_every=args.check_every,
         max_iters=args.max_iters,
@@ -266,8 +255,7 @@ def _cmd_bench(args):
     kinds = [_parse_kind(name.strip()) for name in methods]
     trials = _at_least_one("trials", _setting(spec, args, "trials", int))
     base_seed = _setting(spec, args, "seed", int)
-    config = _checked(
-        StopConfig,
+    config = StopConfig(
         tol=_setting(spec, args, "tol", float),
         check_every=_setting(spec, args, "check_every", int),
         max_iters=_setting(spec, args, "max_iters", int),
@@ -322,10 +310,6 @@ def _constants_payload(A, sample=None):
         consts = compute_constants(A, sample=sample)
     except ConstantsTooLargeError as exc:
         return None, {"error": str(exc), "note": "re-run with --sample for an approximate scan"}
-    except OracleTooLargeError:  # a size cap, not a usage error: exit 2
-        raise
-    except ValueError as exc:
-        raise _UsageFailure(str(exc)) from None
     rates = rates_all(consts)
     payload = {
         "constants": {
@@ -406,12 +390,14 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except _UsageFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (_IoFailure, OracleTooLargeError, MatrixMarketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (_UsageFailure, ValueError) as exc:
+        # After the I/O clause: the size-cap and parse errors are ValueErrors
+        # too, and exit 2.  Any other ValueError is an argument out of range.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry():

@@ -182,6 +182,8 @@ def read_matrix_market(path):
             raise MatrixMarketError(
                 f"size {m} {n} {nnz}: need rows, cols >= 1 and nnz >= 0", size_line_no
             )
+        if sym == "symmetric" and m != n:
+            raise MatrixMarketError("symmetric matrix must be square", size_line_no)
         ii, jj, vv = [], [], []
         seen = set()
         count = 0
@@ -220,6 +222,8 @@ def read_matrix_market(path):
         raise MatrixMarketError("non-integer size line", size_line_no) from None
     if m < 1 or n < 1:
         raise MatrixMarketError(f"size {m} {n}: need rows, cols >= 1", size_line_no)
+    if sym == "symmetric" and m != n:
+        raise MatrixMarketError("symmetric matrix must be square", size_line_no)
     expected = m * n if sym == "general" else m * (m + 1) // 2
     vals = [_value(w, ln) for ln, words in _entries() for w in words]
     if len(vals) != expected:
@@ -229,8 +233,6 @@ def read_matrix_market(path):
         # Array format lists values column by column.
         out[:] = np.asarray(vals).reshape((n, m)).T
     else:
-        if m != n:
-            raise MatrixMarketError("symmetric array matrix must be square", size_line_no)
         pos = 0
         for j in range(n):
             col = vals[pos : pos + (m - j)]

@@ -44,7 +44,7 @@ from .selection import (
     simple_random_sample,
     top_two,
 )
-from .updates import ParallelPairError, two_dim_row_coeffs
+from .updates import two_dim_row_coeffs
 
 
 class SolverKind(str, Enum):
@@ -138,11 +138,15 @@ class StopConfig:
 
 
 class AxisCache:
-    """What selection and steps read along one axis (rows or columns) of A."""
+    """What selection and steps read along one axis (rows or columns) of A, for one kind."""
 
-    def __init__(self, sq_norms, gram=None):
+    def __init__(self, sq_norms, steps, whole_axis, gram):
         self.sq_norms = sq_norms
         self.gram = gram  # A A^T for rows, A^T A for columns: updates the residual
+        # Whether the kind keeps this axis's residual (r or g) up to date: it
+        # steps on the axis, and its rule reads the whole residual or gram
+        # updates it.  Otherwise a step forms only the entries it reads.
+        self.kept = steps and (whole_axis or gram is not None)
         self.positive = sq_norms > 0
         self.nonzero = np.flatnonzero(self.positive)
         # The norm rule's draw over nonzero, built once.
@@ -159,23 +163,27 @@ class ProblemCaches:
     cols: AxisCache
 
 
-def build_caches(A, kind=None) -> ProblemCaches:
-    """Norms of A, plus for a dense A the Gram matrix of its shorter axis.
+def build_caches(A, kind) -> ProblemCaches:
+    """Norms of A and, once per run, which residuals kind keeps and how.
 
-    The Gram matrix is built only when kind steps on that axis, which then
-    keeps its residual (r for rows, g for columns) at O(min(m, n)) per
-    step; it costs at most one more copy of A.  The longer axis has none.
+    For a dense A, the Gram matrix of its shorter axis is built when kind
+    steps on that axis, which then keeps its residual (r for rows, g for
+    columns) at O(min(m, n)) per step; it costs at most one more copy of
+    A.  The longer axis has none.
     """
+    method = METHODS[SolverKind(kind)]
     norms = build_norm_cache(A)
-    rows, cols = AxisCache(norms.row_sq_norms), AxisCache(norms.col_sq_norms)
-    if kind is not None and not A.is_sparse:
-        method = METHODS[SolverKind(kind)]
+    row_gram = col_gram = None
+    if not A.is_sparse:
         values = A.values
         if A.cols <= A.rows:
             if method.cols:
-                cols.gram = values.T @ values
+                col_gram = values.T @ values
         elif method.rows:
-            rows.gram = values @ values.T
+            row_gram = values @ values.T
+    whole = method.rule in _WHOLE_AXIS_RULES
+    rows = AxisCache(norms.row_sq_norms, method.rows, whole, row_gram)
+    cols = AxisCache(norms.col_sq_norms, method.cols, whole, col_gram)
     return ProblemCaches(norms, rows, cols)
 
 
@@ -243,16 +251,6 @@ def rse(x, x_star):
 # Selection (row and column halves share the same shapes)
 
 
-def _keeps(method, ax):
-    """Whether the method keeps the residual of axis ax up to date.
-
-    It does when its rule reads the whole residual, or when the Gram matrix
-    of ax makes the upkeep O(min(m, n)) per step.  Otherwise a step forms
-    only the entries it reads, from x and z.
-    """
-    return method.rule in _WHOLE_AXIS_RULES or ax.gram is not None
-
-
 def _entries(row, kept, state, problem, idx):
     """Entries idx (an index array) of r for a row axis, of g = A^T z for a column axis.
 
@@ -303,7 +301,7 @@ def _select(method, axis, state, problem, caches, config):
         elif domain.size < scores.size:
             scores = scores[domain]
     elif rule == "top_sample":
-        residual = _entries(row, _keeps(method, ax), state, problem, domain)
+        residual = _entries(row, ax.kept, state, problem, domain)
         _, scores = scores_from_residual(residual, ax.sq_norms[domain])
         top = int(scores.argmax())
         if scores[top] <= 0.0:
@@ -327,17 +325,6 @@ def _select(method, axis, state, problem, caches, config):
 # Update application with incremental residual maintenance
 
 
-def _residual_change(gram, product, delta, idx, coeffs):
-    """product(delta), where product is A @ or A^T @ and delta the step's combination of lines.
-
-    Read from the cached Gram rows of the chosen lines when there is a
-    Gram matrix for this axis, else computed as one product.
-    """
-    if gram is None:
-        return product(delta)
-    return combine_lines(gram, idx, coeffs)
-
-
 def _axis_step(state, problem, caches, axis, i1, i2):
     """Step on lines (i1, i2), or on i1 alone, of one axis.
 
@@ -346,16 +333,15 @@ def _axis_step(state, problem, caches, axis, i1, i2):
     zeroes the chosen entries of g = A^T z: the same 2x2 system on the
     column Gram entries, with -g as its residual.  Either falls back to
     the 1-D step on i1 when the pair is parallel.  Only the residuals the
-    method keeps are updated.
+    kind keeps are updated: from the Gram rows of the chosen lines where
+    the axis has them, else with one product.
     """
-    method = METHODS[state.kind]
     A = problem.A
     row = axis == "row"
     ax = caches.rows if row else caches.cols
-    kept = _keeps(method, ax)
     pair = i2 is not None and i2 != i1
     idx = (i1, i2) if pair else (i1,)
-    if kept:
+    if ax.kept:
         residual, at = (state.r if row else state.g), idx
     else:
         residual, at = _entries(row, False, state, problem, np.array(idx)), (0, 1)
@@ -367,10 +353,7 @@ def _axis_step(state, problem, caches, axis, i1, i2):
     if pair:
         dot = A.row_pair_dot(i1, i2) if row else A.col_pair_dot(i1, i2)
         r2 = sign * float(residual[at[1]])
-        try:
-            coeffs = two_dim_row_coeffs(dot, n1, float(ax.sq_norms[i2]), r1, r2)
-        except ParallelPairError:
-            pass
+        coeffs = two_dim_row_coeffs(dot, n1, float(ax.sq_norms[i2]), r1, r2)
     if coeffs is None:
         c = r1 / n1
         if c == 0.0:
@@ -379,19 +362,19 @@ def _axis_step(state, problem, caches, axis, i1, i2):
     if row:
         dx = A.row_combination(idx, coeffs)
         state.x += dx
-        if kept:
-            state.r -= _residual_change(ax.gram, A.matvec, dx, idx, coeffs)
+        if ax.kept:
+            state.r -= A.matvec(dx) if ax.gram is None else combine_lines(ax.gram, idx, coeffs)
     else:
         dz = A.col_combination(idx, coeffs)
         state.z += dz
-        if method.rows and _keeps(method, caches.rows):
+        if caches.rows.kept:
             state.r -= dz
-        if kept:
-            state.g += _residual_change(ax.gram, A.rmatvec, dz, idx, coeffs)
+        if ax.kept:
+            state.g += A.rmatvec(dz) if ax.gram is None else combine_lines(ax.gram, idx, coeffs)
 
 
-def step(kind, state, problem, caches, config):
-    """Advance the state by exactly one iteration of the named method."""
+def step(state, problem, caches, config):
+    """Advance the state by exactly one iteration of its method, on caches built for its kind."""
     method = METHODS[state.kind]
     # Both axes pick from the state at the start of the step; the row step
     # runs first, so the entries it forms see the pre-step z.
@@ -463,7 +446,7 @@ def solve(kind, problem, config=None, seed=0):
     if max_iters == 0:
         done = converged(state, problem, caches, config)
     for _ in range(max_iters):
-        step(kind, state, problem, caches, config)
+        step(state, problem, caches, config)
         if state.k % check_every == 0 or state.k == max_iters:
             state.refresh(problem)
             if config.track_history:

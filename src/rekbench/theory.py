@@ -240,7 +240,7 @@ def empirical_contraction(kind, problem, trials, steps, seed=0):
         prev = error_sq(state)
         floor = max(ROUNDING_FLOOR * prev, 1e-300)
         for j in range(steps):
-            step(kind, state, problem, caches, config)
+            step(state, problem, caches, config)
             cur = error_sq(state)
             if prev > floor:
                 ratios[j, trial] = cur / prev

@@ -5,7 +5,8 @@ coefficients solve the 2x2 Gram system of the pair in closed form: for
 rows, they zero both chosen shifted residuals (Petrov-Galerkin
 condition); for columns, with -A^T z as the residual, they annihilate
 both chosen column inner products with z.  A numerically parallel pair
-has no 2-D step; the solver falls back to the 1-D step.
+has no 2-D step: the kernel returns None, and the solver takes the 1-D
+step instead.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ import math
 from typing import NamedTuple
 
 PARALLEL_TOL = 1e-12
-
-
-class ParallelPairError(ValueError):
-    """The selected pair is (numerically) parallel; use the 1-D fallback."""
 
 
 class PairGeometry(NamedTuple):
@@ -39,12 +36,12 @@ def two_dim_row_coeffs(dot, n1_sq, n2_sq, r1, r2):
     """(gamma, lambda) solving [[n1_sq, dot], [dot, n2_sq]] (gamma, lambda) = (r1, r2).
 
     dot and n1_sq, n2_sq are the inner product and squared norms of two
-    lines of A, and r1, r2 the residuals to zero along them.  Raises
-    ParallelPairError for a parallel pair.
+    lines of A, and r1, r2 the residuals to zero along them.  None for a
+    parallel pair.
     """
     geo = pair_geometry_from(dot, n1_sq, n2_sq)
     if geo.parallel:
-        raise ParallelPairError("the pair is parallel")
+        return None
     gamma = (n2_sq * r1 - dot * r2) / geo.denom
     lam = (n1_sq * r2 - dot * r1) / geo.denom
     return float(gamma), float(lam)

@@ -387,6 +387,8 @@ def test_matrix_market_parse_error_is_io_error(capsys, tmp_path, command):
         "coordinate real general\n2 2 1\n1 1 nan\n",
         "coordinate real general\n2 2 2\n1 1 1.0\n1 1 2.0\n",
         "array real general\n0 3\n",
+        "coordinate real symmetric\n3 2 1\n3 1 1.0\n",
+        "array real symmetric\n2 3\n1\n2\n3\n4\n5\n6\n",
     ],
 )
 @pytest.mark.parametrize("command", ["gen", "constants"])
@@ -514,3 +516,17 @@ def test_bench_bad_tol_flag_is_usage_error(capsys, tmp_path, tol):
     assert code == 1
     assert out == "" and err.count("\n") == 1
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "verify", "gen"])
+def test_negative_seed_is_usage_error(capsys, tmp_path, command):
+    path = gen_bundle(capsys, tmp_path)
+    argv = {
+        "solve": ("solve", "--method", "REK", "--problem", path),
+        "bench": ("bench", "--methods", "REK", "--problems", path, "--out", str(tmp_path / "o.csv")),
+        "verify": ("verify", "--problem", path, "--trials", "2", "--steps", "2"),
+        "gen": ("gen", "from-mtx", "--path", path + "/A.mtx", "--out", str(tmp_path / "o")),
+    }[command]
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert_usage_error(code, out, err)
+    assert "Traceback" not in err

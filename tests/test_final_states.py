@@ -32,7 +32,7 @@ def _after_steps(kind, problem):
     caches = build_caches(problem.A, kind)
     state = SolverState.initial(kind, problem, seed=SEED)
     for _ in range(STEPS):
-        step(kind, state, problem, caches, CONFIG)
+        step(state, problem, caches, CONFIG)
     return _digest(state)
 
 

@@ -115,6 +115,19 @@ def test_size_line_out_of_range(tmp_path, text, line_no):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n",
+        "%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n4\n5\n6\n",
+    ],
+)
+def test_symmetric_must_be_square(tmp_path, text):
+    with pytest.raises(MatrixMarketError, match="symmetric matrix must be square") as exc:
+        read_matrix_market(write(tmp_path, text))
+    assert exc.value.line_no == 2
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
 def test_non_finite_coordinate_value(tmp_path, value):
     path = write(tmp_path, COORD + f"2 2 2\n1 1 1.0\n2 2 {value}\n")

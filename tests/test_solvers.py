@@ -35,9 +35,9 @@ def consistent_problem(m, n, seed):
 def test_step_noop_on_zero_rhs(kind):
     A = gen_gaussian(6, 4, 0)
     problem = LsProblem(A=A, b=np.zeros(6))
-    caches = build_caches(A)
+    caches = build_caches(A, kind)
     state = SolverState.initial(kind, problem, seed=1)
-    step(kind, state, problem, caches, StopConfig())
+    step(state, problem, caches, StopConfig())
     assert state.k == 1
     if state.x is not None:
         assert np.array_equal(state.x, np.zeros(4))
@@ -56,19 +56,19 @@ def test_rek_identity_converges():
 
 def test_srek_step_bitwise_deterministic():
     problem = make_inconsistent_problem(gen_gaussian(10, 4, 3), 3)
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, SolverKind.SREK)
     runs = []
     for _ in range(2):
         state = SolverState.initial(SolverKind.SREK, problem, seed=0)
         for _ in range(25):
-            step(SolverKind.SREK, state, problem, caches, StopConfig())
+            step(state, problem, caches, StopConfig())
         runs.append(state.x.copy())
     assert np.array_equal(runs[0], runs[1])
 
 
 def test_converged_at_exact_solution():
     problem = make_inconsistent_problem(gen_gaussian(12, 5, 4), 4)
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, SolverKind.REK)
     state = SolverState.initial(SolverKind.REK, problem, seed=0)
     state.x = problem.x_star.copy()
     state.z = problem.r.copy()
@@ -117,7 +117,7 @@ def test_solve_forms_fresh_residuals_once_per_check(monkeypatch, track_history):
 
 def test_converged_at_zero_x_scales_by_b():
     problem = make_inconsistent_problem(gen_gaussian(12, 5, 4), 4)
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, SolverKind.REK)
     state = SolverState.initial(SolverKind.REK, problem, seed=0)
     # x = 0, z = b: the primary residual is 0 and the dual one is |A^T b|.
     b_norm = np.linalg.norm(problem.b)
@@ -142,10 +142,10 @@ def test_grek_stops_at_zero_solution():
 
 def test_converged_matches_hand_formula():
     problem = make_inconsistent_problem(gen_gaussian(12, 5, 6), 6)
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, SolverKind.REK)
     state = SolverState.initial(SolverKind.REK, problem, seed=0)
     for _ in range(30):
-        step(SolverKind.REK, state, problem, caches, StopConfig())
+        step(state, problem, caches, StopConfig())
     A, b = problem.A, problem.b
     frob = np.sqrt(caches.norms.frob_sq)
     x_norm = np.linalg.norm(state.x)
@@ -178,10 +178,10 @@ def test_solve_gproj_matches_range_split():
     rec = solve(SolverKind.GPROJ, problem, StopConfig(tol=1e-8), seed=2)
     assert rec.converged
     # Re-run the iteration to inspect the final z.
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, SolverKind.GPROJ)
     state = SolverState.initial(SolverKind.GPROJ, problem, seed=2)
     for _ in range(rec.iters):
-        step(SolverKind.GPROJ, state, problem, caches, StopConfig())
+        step(state, problem, caches, StopConfig())
     b_perp = project_off_range(problem.A, problem.b)
     assert np.linalg.norm(state.z - b_perp) / np.linalg.norm(problem.b) <= 1e-4
 
@@ -209,12 +209,12 @@ def test_solve_records_history():
 @pytest.mark.parametrize("kind", sorted(EXTENDED_KINDS))
 def test_iterates_stay_in_row_space(kind):
     problem = make_inconsistent_problem(gen_gaussian(15, 6, 11), 11)
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, kind)
     dense = problem.A.to_dense()
     proj = np.linalg.pinv(dense) @ dense  # projector onto the row space
     state = SolverState.initial(kind, problem, seed=4)
     for _ in range(40):
-        step(kind, state, problem, caches, StopConfig(fraction=0.25))
+        step(state, problem, caches, StopConfig(fraction=0.25))
     x_norm = np.linalg.norm(state.x)
     if x_norm > 0:
         assert np.linalg.norm(state.x - proj @ state.x) <= 1e-8 * x_norm
@@ -223,11 +223,11 @@ def test_iterates_stay_in_row_space(kind):
 @pytest.mark.parametrize("kind", sorted(CONSISTENT_KINDS))
 def test_consistent_error_monotone(kind):
     problem = consistent_problem(25, 8, 12)
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, kind)
     state = SolverState.initial(kind, problem, seed=6)
     prev = np.linalg.norm(state.x - problem.x_star)
     for _ in range(60):
-        step(kind, state, problem, caches, StopConfig(fraction=0.25))
+        step(state, problem, caches, StopConfig(fraction=0.25))
         cur = np.linalg.norm(state.x - problem.x_star)
         assert cur <= prev * (1 + 1e-12)
         prev = cur
@@ -236,11 +236,11 @@ def test_consistent_error_monotone(kind):
 @pytest.mark.parametrize("kind", sorted(EXTENDED_KINDS | PROJECTION_KINDS))
 def test_z_error_monotone(kind):
     problem = make_inconsistent_problem(gen_gaussian(18, 7, 13), 13)
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, kind)
     state = SolverState.initial(kind, problem, seed=7)
     prev = np.linalg.norm(state.z - problem.r)
     for _ in range(60):
-        step(kind, state, problem, caches, StopConfig(fraction=0.25))
+        step(state, problem, caches, StopConfig(fraction=0.25))
         cur = np.linalg.norm(state.z - problem.r)
         assert cur <= prev * (1 + 1e-12)
         prev = cur
@@ -262,10 +262,10 @@ def test_fixed_seed_bitwise_reproducible(kind):
 
 def test_incremental_residuals_match_fresh():
     problem = make_inconsistent_problem(gen_gaussian(20, 8, 15), 15)
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, SolverKind.TGREK)
     state = SolverState.initial(SolverKind.TGREK, problem, seed=3)
     for _ in range(50):
-        step(SolverKind.TGREK, state, problem, caches, StopConfig())
+        step(state, problem, caches, StopConfig())
     fresh_r = problem.b - state.z - problem.A.matvec(state.x)
     fresh_g = problem.A.rmatvec(state.z)
     scale = max(np.linalg.norm(problem.b), 1.0)
@@ -302,7 +302,7 @@ def test_maintained_residuals_match_fresh(kind, shape):
     caches = build_caches(A, kind)
     state = SolverState.initial(kind, problem, seed=5)
     for _ in range(200):
-        step(kind, state, problem, caches, StopConfig(fraction=0.25))
+        step(state, problem, caches, StopConfig(fraction=0.25))
     x_norm = 0.0 if state.x is None else np.linalg.norm(state.x)
     bound = 4 * np.finfo(float).eps * caches.norms.frob_sq * (x_norm + np.linalg.norm(problem.b))
     keeps_r, keeps_g = _keeps(kind, shape)
@@ -334,8 +334,7 @@ def test_gram_only_for_a_maintained_short_axis(kind, shape):
             assert np.allclose(caches.rows.gram, A.values @ A.values.T)
     else:
         assert caches.rows.gram is None and caches.cols.gram is None
-    plain = build_caches(A)
-    assert plain.rows.gram is None and plain.cols.gram is None
+    assert (caches.rows.kept, caches.cols.kept) == _keeps(kind, shape)
 
 
 ON_DEMAND = [
@@ -351,12 +350,12 @@ def _poisoned_solve(monkeypatch, kind, problem, config, poison):
     original_step = solvers.step
     states = []
 
-    def poisoning_step(kind_, state, *args):
+    def poisoning_step(state, *args):
         states.append(state)
         for name, keeps in zip(("r", "g"), poison):
             if getattr(state, name) is not None and not keeps:
                 setattr(state, name, np.full_like(getattr(state, name), np.nan))
-        return original_step(kind_, state, *args)
+        return original_step(state, *args)
 
     monkeypatch.setattr(solvers, "step", poisoning_step)
     rec = solve(kind, problem, config, seed=4)
@@ -405,10 +404,10 @@ def test_sparse_and_dense_agree_for_srek():
     results = []
     for A in (A_dense, A_sparse):
         problem = LsProblem(A=A, b=b)
-        caches = build_caches(A)
+        caches = build_caches(A, SolverKind.SREK)
         state = SolverState.initial(SolverKind.SREK, problem, seed=0)
         for _ in range(30):
-            step(SolverKind.SREK, state, problem, caches, StopConfig())
+            step(state, problem, caches, StopConfig())
         results.append(state.x.copy())
     assert np.allclose(results[0], results[1], atol=1e-10)
 
@@ -443,7 +442,7 @@ def test_sampling_kinds_are_the_fraction_readers(kind):
     state = SolverState.initial(kind, problem, seed=2)
     spy = FractionSpy()
     for _ in range(5):
-        step(kind, state, problem, caches, spy)
+        step(state, problem, caches, spy)
     assert (spy.reads > 0) == (kind in SAMPLING_KINDS)
 
 
@@ -457,7 +456,7 @@ def test_sampled_pair_kinds_take_1d_steps_on_a_one_line_axis(kind, shape):
     A, b = problem.A, problem.b
     caches = build_caches(A, kind)
     state = SolverState.initial(kind, problem, seed=3)
-    step(kind, state, problem, caches, StopConfig(fraction=0.5))
+    step(state, problem, caches, StopConfig(fraction=0.5))
     if shape == (6, 1) and state.z is not None:
         # One column: the column step projects z off it.
         assert abs(A.col(0) @ state.z) <= 1e-12 * np.linalg.norm(b) * np.linalg.norm(A.col(0))
@@ -584,7 +583,7 @@ def test_no_rule_picks_a_zero_norm_line(monkeypatch, kind, shape):
     monkeypatch.setattr(solvers, "_axis_step", spy)
     state = SolverState.initial(kind, problem, seed=6)
     for _ in range(300):
-        step(kind, state, problem, caches, StopConfig(fraction=0.5))
+        step(state, problem, caches, StopConfig(fraction=0.5))
     assert picks
     for axis, i1, i2 in picks:
         sq_norms = caches.norms.row_sq_norms if axis == "row" else caches.norms.col_sq_norms

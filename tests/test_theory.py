@@ -173,13 +173,13 @@ def test_empirical_contraction_sproj_pathwise_thm3():
 
 
 def _mean_final_error_sq(kind, problem, trials, steps, seed):
-    caches = build_caches(problem.A)
+    caches = build_caches(problem.A, kind)
     config = StopConfig()
     finals = []
     for trial in range(trials):
         state = SolverState.initial(kind, problem, seed=seed + trial)
         for _ in range(steps):
-            step(kind, state, problem, caches, config)
+            step(state, problem, caches, config)
         finals.append(float(np.sum((state.x - problem.x_star) ** 2)))
     return np.mean(finals), np.std(finals, ddof=1) / np.sqrt(trials)
 

@@ -137,7 +137,7 @@ def _pick_hash(monkeypatch, kind, problem):
     for _ in range(PICKS):
         if len(picks) >= PICKS:
             break
-        step(kind, state, problem, caches, CONFIG)
+        step(state, problem, caches, CONFIG)
     monkeypatch.undo()
     data = np.asarray(picks[:PICKS], dtype="<i8").tobytes()
     return hashlib.sha256(data).hexdigest()[:16]
