@@ -1,0 +1,73 @@
+"""Golden problem construction: the phantom and the bytes of written bundles.
+
+A refactor of the generators, of the phantom or of the bundle writer must
+leave these unchanged.  Each bundle is written by `gen` through cli.main
+and every file in it is pinned by the sha256 of its bytes; the phantom is
+pinned by the sha256 of its float64 bytes.  The expected values were
+recorded before the consistent generator moved into `problems` and the
+phantom was evaluated on the whole pixel grid at once.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from rekbench.cli import main
+from rekbench.problems import shepp_logan
+
+BUNDLES = {
+    "consistent": ("gaussian", "--m", "40", "--n", "10", "--seed", "1"),
+    "inconsistent": ("gaussian", "--m", "40", "--n", "10", "--seed", "1", "--inconsistent"),
+    "wide": ("gaussian", "--m", "15", "--n", "40", "--seed", "3", "--inconsistent"),
+    "tomo": ("tomo", "--side", "8", "--angles", "12", "--detectors", "12", "--seed", "1"),
+}
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+# (what, name): first 16 hex digits of the sha256 of its bytes
+GOLDEN = {
+    ("phantom", "4"): "f28f31fa5e5debcc",
+    ("phantom", "8"): "eaae03c2aca181eb",
+    ("phantom", "16"): "27ed40b943b80560",
+    ("phantom", "17"): "4a68263e8033122a",
+    ("phantom", "33"): "514995f554477772",
+    ("consistent", "A.mtx"): "6a0db226a24f938d",
+    ("consistent", "b.txt"): "bc5d563416acb06c",
+    ("consistent", "meta.json"): "ffb4c30478cc4995",
+    ("consistent", "r.txt"): "12a4e974d718887e",
+    ("consistent", "x_star.txt"): "d52455227454c9a0",
+    ("inconsistent", "A.mtx"): "6a0db226a24f938d",
+    ("inconsistent", "b.txt"): "58daf9580bc6a1e3",
+    ("inconsistent", "meta.json"): "2537fe38670eee03",
+    ("inconsistent", "r.txt"): "7e70330f8b0d27ec",
+    ("inconsistent", "x_star.txt"): "74dfdbeb6c510b62",
+    ("wide", "A.mtx"): "bf640a910bd6d19a",
+    ("wide", "b.txt"): "5f96a15e560b0c15",
+    ("wide", "meta.json"): "9b366d21db43a490",
+    ("wide", "r.txt"): "a32d16eb8bf2e1dd",
+    ("wide", "x_star.txt"): "51b0509de31672f9",
+    ("tomo", "A.mtx"): "f3b9daa2e9a350d1",
+    ("tomo", "b.txt"): "05b42502e682f8a6",
+    ("tomo", "meta.json"): "ec73dee786bf2b34",
+    ("tomo", "r.txt"): "014cfeccaa725bb4",
+    ("tomo", "x_star.txt"): "906b961c2385ac9f",
+}
+
+
+@pytest.mark.parametrize("side", [4, 8, 16, 17, 33])
+def test_phantom_is_unchanged(side):
+    assert _sha(shepp_logan(side).tobytes()) == GOLDEN["phantom", str(side)]
+
+
+@pytest.mark.parametrize("bundle", sorted(BUNDLES))
+def test_bundle_files_are_unchanged(capsys, tmp_path, bundle):
+    path = tmp_path / bundle
+    assert main(["gen", *BUNDLES[bundle], "--out", str(path)]) == 0
+    capsys.readouterr()
+    got = {name: _sha((path / name).read_bytes()) for name in sorted(os.listdir(path))}
+    want = {name: h for (what, name), h in GOLDEN.items() if what == bundle}
+    assert got == want
