@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import statistics
 import sys
 
@@ -26,8 +25,8 @@ from .problems import (
     gen_gaussian,
     gen_parallel_beam,
     load_problem,
+    make_consistent_problem,
     make_inconsistent_problem,
-    oracle_problem,
     read_matrix_market,
     save_problem,
 )
@@ -121,16 +120,8 @@ class _IoFailure(Exception):
 def _cmd_gen(args):
     if args.generator == "gaussian":
         A = gen_gaussian(args.m, args.n, args.seed)
-        if args.inconsistent:
-            problem = make_inconsistent_problem(A, args.seed)
-        else:
-            g = rngmod.stream(args.seed, rngmod.method_tag("gen_consistent_b"))
-            problem = oracle_problem(
-                A,
-                A.matvec(g.standard_normal(args.n)),
-                f"gaussian-{args.m}x{args.n}-seed{args.seed}",
-                {"seed": args.seed, "generator": "gen_gaussian"},
-            )
+        make = make_inconsistent_problem if args.inconsistent else make_consistent_problem
+        problem = make(A, args.seed)
     elif args.generator == "tomo":
         problem = gen_parallel_beam(args.side, args.angles, args.detectors, args.seed)
     else:
@@ -162,16 +153,12 @@ def _parse_kind(name):
     try:
         return SolverKind(name)
     except ValueError:
-        raise _UsageFailure(f"unknown method {name!r}") from None
-
-
-class _UsageFailure(Exception):
-    pass
+        raise ValueError(f"unknown method {name!r}") from None
 
 
 def _at_least_one(name, value):
     if value < 1:
-        raise _UsageFailure(f"{name} must be at least 1, got {value}")
+        raise ValueError(f"{name} must be at least 1, got {value}")
     return value
 
 
@@ -192,13 +179,13 @@ def _cmd_solve(args):
         **fraction,
     )
     record = solve(kind, problem, config, args.seed)
-    print(json.dumps(_result_row(record, problem, kind.value, args.seed)))
     if args.history is not None:
         with open(args.history, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(["step", "primary_residual", "dual_residual", "rse"])
             for row in record.history:
                 writer.writerow(row)
+    print(json.dumps(_result_row(record, problem, kind.value, args.seed)))
     if args.strict and not record.converged:
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -217,7 +204,7 @@ def _setting(spec, args, key, kind):
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
         noun = "a number" if kind is float else "an integer"
-        raise _UsageFailure(f"config {key} must be {noun}, got {json.dumps(value)}")
+        raise ValueError(f"config {key} must be {noun}, got {json.dumps(value)}")
     return kind(value)
 
 
@@ -235,23 +222,23 @@ def _cmd_bench(args):
         except (OSError, json.JSONDecodeError) as exc:
             raise _IoFailure(str(exc)) from exc
         if not isinstance(spec, dict):
-            raise _UsageFailure("bench config must be a JSON object")
+            raise ValueError("bench config must be a JSON object")
         unknown = sorted(set(spec) - _BENCH_KEYS)
         if unknown:
-            raise _UsageFailure(f"unknown config keys {json.dumps(unknown)}")
+            raise ValueError(f"unknown config keys {json.dumps(unknown)}")
         summary_out = spec.get("summary_out")
         if summary_out is not None and not isinstance(summary_out, str):
-            raise _UsageFailure(
+            raise ValueError(
                 f"config summary_out must be a string or null, got {json.dumps(summary_out)}"
             )
         for key in ("methods", "problems"):
             names = spec.get(key, [])
             if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-                raise _UsageFailure(f"config {key} must be a list of strings")
+                raise ValueError(f"config {key} must be a list of strings")
     methods = spec.get("methods") or (args.methods.split(",") if args.methods else None)
     problems = spec.get("problems") or (args.problems.split(",") if args.problems else None)
     if not methods or not problems:
-        raise _UsageFailure("bench needs --methods and --problems (or a config file)")
+        raise ValueError("bench needs --methods and --problems (or a config file)")
     kinds = [_parse_kind(name.strip()) for name in methods]
     trials = _at_least_one("trials", _setting(spec, args, "trials", int))
     base_seed = _setting(spec, args, "seed", int)
@@ -328,7 +315,7 @@ def _constants_payload(A, sample=None):
 
 def _cmd_constants(args):
     if bool(args.matrix) == bool(args.problem):
-        raise _UsageFailure("constants needs exactly one of --matrix / --problem")
+        raise ValueError("constants needs exactly one of --matrix / --problem")
     A = read_matrix_market(args.matrix) if args.matrix else _load(args.problem).A
     computed, payload = _constants_payload(A, sample=args.sample)
     print(json.dumps(payload, indent=2))
@@ -393,9 +380,9 @@ def main(argv=None):
     except (_IoFailure, OracleTooLargeError, MatrixMarketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (_UsageFailure, ValueError) as exc:
+    except ValueError as exc:
         # After the I/O clause: the size-cap and parse errors are ValueErrors
-        # too, and exit 2.  Any other ValueError is an argument out of range.
+        # too, and exit 2.  Any other ValueError is a bad argument or setting.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -242,21 +242,11 @@ class DualSparseMatrix:
 
     def mat_row(self, i):
         """A @ (A^(i))^T, assembled from the columns in the row's support."""
-        out = np.zeros(self.rows)
-        idx, val = self.row(i)
-        for j, v in zip(idx, val):
-            sl = slice(self.csc_indptr[j], self.csc_indptr[j + 1])
-            out[self.csc_indices[sl]] += v * self.csc_data[sl]
-        return out
+        return self.col_combination(*self.row(i))
 
     def mat_t_col(self, j):
         """A^T @ A_(j), assembled from the rows in the column's support."""
-        out = np.zeros(self.cols)
-        idx, val = self.col(j)
-        for i, v in zip(idx, val):
-            sl = slice(self.csr_indptr[i], self.csr_indptr[i + 1])
-            out[self.csr_indices[sl]] += v * self.csr_data[sl]
-        return out
+        return self.row_combination(*self.col(j))
 
     def triples(self):
         """Canonical row-major (i, j, v) arrays, for equality and I/O."""

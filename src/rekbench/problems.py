@@ -54,11 +54,14 @@ class LsProblem:
             return
         cache = build_norm_cache(self.A)
         frob = np.sqrt(cache.frob_sq)
+        b_norm = np.linalg.norm(self.b)
         resid = self.b - self.A.matvec(self.x_star) - self.r
-        if np.linalg.norm(resid) > 1e-10 * max(np.linalg.norm(self.b), 1e-300):
+        if np.linalg.norm(resid) > 1e-10 * max(b_norm, 1e-300):
             raise ValueError("b != A x_star + r beyond tolerance")
-        r_norm = np.linalg.norm(self.r)
-        if r_norm > 0 and np.linalg.norm(self.A.rmatvec(self.r)) > 1e-8 * frob * r_norm:
+        # The floor 1e-12 ||A||_F ||b|| admits an r of rounding noise (a
+        # consistent or wide problem), which a bound relative to ||r|| rejects.
+        bound = frob * (1e-8 * np.linalg.norm(self.r) + 1e-12 * b_norm)
+        if np.linalg.norm(self.A.rmatvec(self.r)) > bound:
             raise ValueError("r is not orthogonal to range(A) beyond tolerance")
 
 
@@ -89,6 +92,18 @@ def oracle_problem(A, b, label, meta):
     """The LsProblem for A and b, with the oracle x_star = A^+ b and r = b - A x_star."""
     x_star = direct_least_squares(A, b)
     return LsProblem(A=A, b=b, x_star=x_star, r=b - A.matvec(x_star), label=label, meta=meta)
+
+
+def make_consistent_problem(A, seed):
+    """Build b = A x for a Gaussian x, so that r is zero up to rounding."""
+    m, n = A.shape
+    g = rngmod.stream(seed, rngmod.method_tag("gen_consistent_b"))
+    return oracle_problem(
+        A,
+        A.matvec(g.standard_normal(n)),
+        f"gaussian-{m}x{n}-seed{seed}",
+        {"seed": int(seed), "generator": "gen_gaussian"},
+    )
 
 
 def make_inconsistent_problem(A, seed, label=""):
@@ -147,13 +162,12 @@ def read_matrix_market(path):
     if sym not in ("general", "symmetric"):
         raise MatrixMarketError(f"unsupported symmetry {sym!r}", 1)
 
-    no = 1
-    for no, line in enumerate(lines[1:], start=2):
+    size_line_no = 1
+    for size_line_no, line in enumerate(lines[1:], start=2):
         if line.strip() and not line.lstrip().startswith("%"):
             break
     else:
-        raise MatrixMarketError("missing size line", no)
-    size_line_no = no
+        raise MatrixMarketError("missing size line", size_line_no)
     parts = lines[size_line_no - 1].split()
 
     def _value(word, ln):
@@ -171,19 +185,22 @@ def read_matrix_market(path):
             if text and not text.startswith("%"):
                 yield ln, text.split()
 
-    if fmt == "coordinate":
-        if len(parts) != 3:
-            raise MatrixMarketError("coordinate size line needs 'rows cols nnz'", size_line_no)
-        try:
-            m, n, nnz = (int(p) for p in parts)
-        except ValueError:
-            raise MatrixMarketError("non-integer size line", size_line_no) from None
-        if m < 1 or n < 1 or nnz < 0:
-            raise MatrixMarketError(
-                f"size {m} {n} {nnz}: need rows, cols >= 1 and nnz >= 0", size_line_no
-            )
-        if sym == "symmetric" and m != n:
-            raise MatrixMarketError("symmetric matrix must be square", size_line_no)
+    coordinate = fmt == "coordinate"
+    fields = "rows cols nnz" if coordinate else "rows cols"
+    if len(parts) != len(fields.split()):
+        raise MatrixMarketError(f"{fmt} size line needs '{fields}'", size_line_no)
+    try:
+        size = [int(p) for p in parts]
+    except ValueError:
+        raise MatrixMarketError("non-integer size line", size_line_no) from None
+    m, n = size[:2]
+    nnz = size[2] if coordinate else 0
+    if m < 1 or n < 1 or nnz < 0:
+        need = "rows, cols >= 1" + (" and nnz >= 0" if coordinate else "")
+        raise MatrixMarketError(f"size {' '.join(map(str, size))}: need {need}", size_line_no)
+    if sym == "symmetric" and m != n:
+        raise MatrixMarketError("symmetric matrix must be square", size_line_no)
+    if coordinate:
         ii, jj, vv = [], [], []
         seen = set()
         count = 0
@@ -214,16 +231,6 @@ def read_matrix_market(path):
             raise MatrixMarketError(f"expected {nnz} entries, found {count}", len(lines))
         return DualSparseMatrix(m, n, ii, jj, vv)
 
-    if len(parts) != 2:
-        raise MatrixMarketError("array size line needs 'rows cols'", size_line_no)
-    try:
-        m, n = (int(p) for p in parts)
-    except ValueError:
-        raise MatrixMarketError("non-integer size line", size_line_no) from None
-    if m < 1 or n < 1:
-        raise MatrixMarketError(f"size {m} {n}: need rows, cols >= 1", size_line_no)
-    if sym == "symmetric" and m != n:
-        raise MatrixMarketError("symmetric matrix must be square", size_line_no)
     expected = m * n if sym == "general" else m * (m + 1) // 2
     vals = [_value(w, ln) for ln, words in _entries() for w in words]
     if len(vals) != expected:
@@ -279,13 +286,13 @@ _SHEPP_LOGAN = [
 
 
 def shepp_logan_value(x, y):
-    """Phantom intensity at a point of the [-1, 1]^2 unit square."""
+    """Phantom intensity at points of the [-1, 1]^2 square (scalars or arrays)."""
     total = 0.0
     for inten, a, bsemi, x0, y0, phi in _SHEPP_LOGAN:
         c, s = np.cos(np.radians(phi)), np.sin(np.radians(phi))
         dx, dy = x - x0, y - y0
-        if ((dx * c + dy * s) / a) ** 2 + ((-dx * s + dy * c) / bsemi) ** 2 <= 1.0:
-            total += inten
+        inside = ((dx * c + dy * s) / a) ** 2 + ((-dx * s + dy * c) / bsemi) ** 2 <= 1.0
+        total = total + inten * inside
     return total
 
 
@@ -298,11 +305,8 @@ def shepp_logan(side):
     if side < 4:
         raise ValueError("side must be at least 4")
     centers = (np.arange(side) + 0.5) * 2.0 / side - 1.0
-    img = np.zeros(side * side)
-    for iy, y in enumerate(centers):
-        for ix, x in enumerate(centers):
-            img[iy * side + ix] = shepp_logan_value(x, y)
-    return np.clip(img, 0.0, 1.0)
+    x, y = np.meshgrid(centers, centers)
+    return np.clip(shepp_logan_value(x, y).ravel(), 0.0, 1.0)
 
 
 def ray_pixel_lengths(side, theta, offset):
@@ -360,12 +364,10 @@ def parallel_beam_matrix(image_side, n_angles, n_detectors):
 
 def gen_parallel_beam(image_side, n_angles, n_detectors, seed):
     """Parallel-beam tomography problem over the Shepp-Logan phantom."""
-    if image_side < 4:
-        raise ValueError("image_side must be at least 4")
+    phantom = shepp_logan(image_side)
     if n_angles < 1 or n_detectors < 1:
         raise ValueError("n_angles and n_detectors must be at least 1")
     A = parallel_beam_matrix(image_side, n_angles, n_detectors)
-    phantom = shepp_logan(image_side)
     g = rngmod.stream(seed, rngmod.method_tag("gen_parallel_beam"))
     r = project_off_range(A, project_off_range(A, g.standard_normal(A.rows)))
     return oracle_problem(
@@ -385,15 +387,17 @@ def gen_parallel_beam(image_side, n_angles, n_detectors, seed):
 # ---------------------------------------------------------------------------
 # Problem bundles (directory of .mtx + flat vectors + metadata)
 
+# The vector files <name>.txt: b is required, x_star and r are optional.
+BUNDLE_VECTORS = ("b", "x_star", "r")
+
 
 def save_problem(problem, directory):
     os.makedirs(directory, exist_ok=True)
     write_matrix_market(problem.A, os.path.join(directory, "A.mtx"))
-    np.savetxt(os.path.join(directory, "b.txt"), problem.b, fmt="%.17g")
-    if problem.x_star is not None:
-        np.savetxt(os.path.join(directory, "x_star.txt"), problem.x_star, fmt="%.17g")
-    if problem.r is not None:
-        np.savetxt(os.path.join(directory, "r.txt"), problem.r, fmt="%.17g")
+    for name in BUNDLE_VECTORS:
+        vec = getattr(problem, name)
+        if vec is not None:
+            np.savetxt(os.path.join(directory, f"{name}.txt"), vec, fmt="%.17g")
     meta = {"label": problem.label, "m": problem.A.rows, "n": problem.A.cols}
     meta.update(problem.meta)
     meta["rng"] = rngmod.GENERATOR_NAME
@@ -402,15 +406,13 @@ def save_problem(problem, directory):
 
 
 def load_problem(directory):
+    """Read a bundle and check its ground truth (LsProblem.validate)."""
     A = read_matrix_market(os.path.join(directory, "A.mtx"))
-    b = np.atleast_1d(np.loadtxt(os.path.join(directory, "b.txt")))
-    x_star = r = None
-    xs_path = os.path.join(directory, "x_star.txt")
-    if os.path.exists(xs_path):
-        x_star = np.atleast_1d(np.loadtxt(xs_path))
-    r_path = os.path.join(directory, "r.txt")
-    if os.path.exists(r_path):
-        r = np.atleast_1d(np.loadtxt(r_path))
+    vectors = {}
+    for name in BUNDLE_VECTORS:
+        path = os.path.join(directory, f"{name}.txt")
+        if name == "b" or os.path.exists(path):
+            vectors[name] = np.atleast_1d(np.loadtxt(path))
     meta = {}
     meta_path = os.path.join(directory, "meta.json")
     if os.path.exists(meta_path):
@@ -418,4 +420,6 @@ def load_problem(directory):
             meta = json.load(fh)
         if not isinstance(meta, dict):
             raise ValueError(f"{meta_path} must hold a JSON object, not {type(meta).__name__}")
-    return LsProblem(A=A, b=b, x_star=x_star, r=r, label=meta.get("label", ""), meta=meta)
+    problem = LsProblem(A=A, **vectors, label=meta.get("label", ""), meta=meta)
+    problem.validate()
+    return problem

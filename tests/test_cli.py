@@ -35,6 +35,27 @@ def test_gen_reload_and_check(capsys, tmp_path):
     assert problem.shape == (200, 50)
 
 
+GEN_ARGS = {
+    "consistent": ("gaussian", "--m", "400", "--n", "100", "--seed", "1"),
+    "wide-consistent": ("gaussian", "--m", "50", "--n", "80", "--seed", "1"),
+    "wide-inconsistent": ("gaussian", "--m", "50", "--n", "80", "--seed", "1", "--inconsistent"),
+    "tomo": ("tomo", "--side", "8", "--angles", "12", "--detectors", "12", "--seed", "1"),
+    "from-mtx": ("from-mtx", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(GEN_ARGS))
+def test_every_generated_bundle_loads(capsys, tmp_path, generator):
+    """load_problem checks the ground truth; every bundle gen writes passes."""
+    argv = GEN_ARGS[generator]
+    if generator == "from-mtx":
+        write_matrix_market(gen_gaussian(12, 30, 1), tmp_path / "A.mtx")
+        argv += ("--path", str(tmp_path / "A.mtx"))
+    path = str(tmp_path / "bundle")
+    assert run(capsys, "gen", *argv, "--out", path)[0] == 0
+    assert load_problem(path).r is not None
+
+
 def test_gen_deterministic(capsys, tmp_path):
     a = gen_bundle(capsys, tmp_path, "a", m=6, n=4, seed=3)
     b = gen_bundle(capsys, tmp_path, "b", m=6, n=4, seed=3)
@@ -63,6 +84,17 @@ def test_solve_json_row_and_history(capsys, tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["step", "primary_residual", "dual_residual", "rse"]
     assert len(rows) > 1
+
+
+def test_solve_history_into_missing_directory_prints_no_row(capsys, tmp_path):
+    path = gen_bundle(capsys, tmp_path)
+    hist = str(tmp_path / "missing" / "h.csv")
+    code, out, err = run(
+        capsys, "solve", "--method", "SREK", "--problem", path, "--history", hist
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_solve_max_iters_zero(capsys, tmp_path):
@@ -102,6 +134,18 @@ def test_solve_bundle_with_extra_b_line_io_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "b has shape (41,)" in err
+
+
+def test_solve_bundle_with_edited_x_star_io_error(capsys, tmp_path):
+    path = gen_bundle(capsys, tmp_path)
+    x_txt = tmp_path / "prob" / "x_star.txt"
+    x_star = np.loadtxt(x_txt)
+    x_star[3] += 1.0
+    np.savetxt(x_txt, x_star, fmt="%.17g")
+    code, out, err = run(capsys, "solve", "--method", "GREK", "--problem", path)
+    assert code == 2
+    assert out == ""
+    assert "b != A x_star + r" in err
 
 
 def test_solve_bundle_with_nan_b_io_error(capsys, tmp_path):

@@ -7,6 +7,7 @@ from rekbench.problems import (
     gen_gaussian,
     gen_parallel_beam,
     load_problem,
+    make_consistent_problem,
     make_inconsistent_problem,
     parallel_beam_matrix,
     project_off_range,
@@ -52,6 +53,21 @@ def test_make_inconsistent_gaussian_orthogonality():
     r_norm = np.linalg.norm(p.r)
     assert np.linalg.norm(A.rmatvec(p.r)) <= 1e-8 * np.sqrt(cache.frob_sq) * r_norm
     p.validate()
+
+
+@pytest.mark.parametrize("make", [make_consistent_problem, make_inconsistent_problem])
+def test_wide_gaussian_problem_validates(make):
+    # r is rounding noise here; the check must not read it as overlap.
+    make(gen_gaussian(50, 80, 1), 1).validate()
+
+
+def test_r_with_a_range_component_rejected():
+    p = make_inconsistent_problem(gen_gaussian(40, 10, 2), 2)
+    u = p.A.matvec(np.ones(10))
+    u *= 1e-6 * np.linalg.norm(p.r) / np.linalg.norm(u)
+    q = LsProblem(A=p.A, b=p.b + u, x_star=p.x_star, r=p.r + u)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        q.validate()
 
 
 def test_range_split_identity():

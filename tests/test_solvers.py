@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rekbench import solvers
-from rekbench.linalg import DenseMatrix, DualSparseMatrix, build_norm_cache, direct_least_squares
+from rekbench.linalg import DenseMatrix, DualSparseMatrix, direct_least_squares
 from rekbench.problems import LsProblem, gen_gaussian, make_inconsistent_problem, project_off_range
 from rekbench.solvers import (
     CONSISTENT_KINDS,
@@ -10,7 +10,6 @@ from rekbench.solvers import (
     METHODS,
     PROJECTION_KINDS,
     SAMPLING_KINDS,
-    RunRecord,
     SolverKind,
     SolverState,
     StopConfig,
