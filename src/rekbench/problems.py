@@ -292,7 +292,7 @@ def shepp_logan_value(x, y):
         c, s = np.cos(np.radians(phi)), np.sin(np.radians(phi))
         dx, dy = x - x0, y - y0
         inside = ((dx * c + dy * s) / a) ** 2 + ((-dx * s + dy * c) / bsemi) ** 2 <= 1.0
-        total = total + inten * inside
+        total += inten * inside
     return total
 
 
