@@ -43,12 +43,31 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NOT_CONVERGED = 3
 
+# The keys of a bench --config file: (type, whether null is allowed).  Each
+# key overrides the flag of its name.  The first four are StopConfig fields,
+# which solve and bench leave unset unless given, so StopConfig supplies
+# every default.
+_CONFIG_KEYS = {
+    "tol": (float, False),
+    "check_every": (int, True),
+    "max_iters": (int, True),
+    "fraction": (float, False),
+    "methods": (list, False),
+    "problems": (list, False),
+    "trials": (int, False),
+    "seed": (int, False),
+    "summary_out": (str, True),
+}
+_STOP_KEYS = ("tol", "check_every", "max_iters", "fraction")
+_NOUNS = {int: "an integer", float: "a number", str: "a string", list: "a list of strings"}
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(prog="rekbench", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a problem bundle")
+    gen.set_defaults(handler=_cmd_gen)
     gen_sub = gen.add_subparsers(dest="generator", required=True)
     gg = gen_sub.add_parser("gaussian")
     gg.add_argument("--m", type=int, required=True)
@@ -68,31 +87,29 @@ def _build_parser():
     gm.add_argument("--out", required=True)
 
     sv = sub.add_parser("solve", help="run one method on one problem")
+    sv.set_defaults(handler=_cmd_solve)
     sv.add_argument("--method", required=True)
     sv.add_argument("--problem", required=True)
-    sv.add_argument("--tol", type=float, default=1e-5)
     sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--fraction", type=float, default=None)
-    sv.add_argument("--max-iters", type=int, default=None)
-    sv.add_argument("--check-every", type=int, default=None)
     sv.add_argument("--history", default=None)
     sv.add_argument("--strict", action="store_true")
 
     bn = sub.add_parser("bench", help="method x problem x trial sweep")
-    bn.add_argument("--config", default=None, help="JSON BenchSpec file")
-    bn.add_argument("--methods", default=None, help="comma-separated kinds")
-    bn.add_argument("--problems", default=None, help="comma-separated bundle dirs")
+    bn.set_defaults(handler=_cmd_bench)
+    bn.add_argument("--config", default=None, help="JSON object; a key overrides its flag")
+    bn.add_argument("--methods", type=_names, help="comma-separated kinds")
+    bn.add_argument("--problems", type=_names, help="comma-separated bundle dirs")
     bn.add_argument("--trials", type=int, default=5)
-    bn.add_argument("--tol", type=float, default=1e-5)
-    bn.add_argument("--fraction", type=float, default=0.01)
-    bn.add_argument("--max-iters", type=int, default=None)
-    bn.add_argument("--check-every", type=int, default=None)
     bn.add_argument("--seed", type=int, default=0)
     bn.add_argument("--jobs", type=int, default=1, help="ignored; bench runs cells in order")
     bn.add_argument("--out", required=True)
     bn.add_argument("--summary-out", default=None)
+    for command in (sv, bn):
+        for key in _STOP_KEYS:
+            command.add_argument("--" + key.replace("_", "-"), type=_CONFIG_KEYS[key][0])
 
     vf = sub.add_parser("verify", help="bound-verification report")
+    vf.set_defaults(handler=_cmd_verify)
     vf.add_argument("--problem", required=True)
     vf.add_argument("--trials", type=int, default=200)
     vf.add_argument("--steps", type=int, default=20)
@@ -100,10 +117,15 @@ def _build_parser():
     vf.add_argument("--rate-only", action="store_true")
 
     ct = sub.add_parser("constants", help="matrix constants and rates")
+    ct.set_defaults(handler=_cmd_constants)
     ct.add_argument("--matrix", default=None, help=".mtx file")
     ct.add_argument("--problem", default=None, help="problem bundle dir")
     ct.add_argument("--sample", type=int, default=None, help="approximate pairwise scan size")
     return parser
+
+
+def _names(text):
+    return text.split(",")
 
 
 def _load(path):
@@ -159,26 +181,21 @@ def _parse_kind(name):
 def _at_least_one(name, value):
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
+
+
+def _stop_config(args):
+    """The StopConfig of the stop settings given; StopConfig supplies the rest."""
+    given = vars(args)
+    return StopConfig(**{key: given[key] for key in _STOP_KEYS if given[key] is not None})
 
 
 def _cmd_solve(args):
     kind = _parse_kind(args.method)
     problem = _load(args.problem)
-    fraction = {}
-    if args.fraction is not None:
-        if kind in SAMPLING_KINDS:
-            fraction["fraction"] = args.fraction
-        else:
-            print(f"warning: --fraction ignored for {kind.value}", file=sys.stderr)
-    config = StopConfig(
-        tol=args.tol,
-        check_every=args.check_every,
-        max_iters=args.max_iters,
-        track_history=args.history is not None,
-        **fraction,
-    )
-    record = solve(kind, problem, config, args.seed)
+    if args.fraction is not None and kind not in SAMPLING_KINDS:
+        print(f"warning: --fraction ignored for {kind.value}", file=sys.stderr)
+        args.fraction = None
+    record = solve(kind, problem, _stop_config(args), args.seed)
     if args.history is not None:
         with open(args.history, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
@@ -191,72 +208,50 @@ def _cmd_solve(args):
     return EXIT_OK
 
 
-def _setting(spec, args, key, kind):
-    """spec[key] as kind (int or float), else the --key flag's value.
-
-    A config value must be a JSON number (an integer for int), or null
-    where the flag defaults to None; anything else is a usage error.
-    """
-    if key not in spec:
-        return getattr(args, key)
-    value = spec[key]
-    if value is None and getattr(args, key) is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else int):
-        noun = "a number" if kind is float else "an integer"
-        raise ValueError(f"config {key} must be {noun}, got {json.dumps(value)}")
-    return kind(value)
-
-
-_BENCH_KEYS = frozenset(
-    "methods problems trials seed tol check_every max_iters fraction summary_out".split()
-)
+def _apply_config(path, args):
+    """Override args with each setting of the bench config file at path."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            spec = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _IoFailure(str(exc)) from exc
+    if not isinstance(spec, dict):
+        raise ValueError("bench config must be a JSON object")
+    unknown = sorted(set(spec) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {json.dumps(unknown)}")
+    for key, value in spec.items():
+        kind, nullable = _CONFIG_KEYS[key]
+        if value is None:
+            ok = nullable
+        elif kind is list:
+            ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        else:
+            number = (int, float) if kind is float else kind
+            ok = isinstance(value, number) and not isinstance(value, bool)
+        if not ok:
+            noun = _NOUNS[kind] + (" or null" if nullable else "")
+            raise ValueError(f"config {key} must be {noun}, got {json.dumps(value)}")
+        setattr(args, key, float(value) if kind is float else value)
 
 
 def _cmd_bench(args):
-    spec = {}
     if args.config:
-        try:
-            with open(args.config, "r", encoding="ascii") as fh:
-                spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _IoFailure(str(exc)) from exc
-        if not isinstance(spec, dict):
-            raise ValueError("bench config must be a JSON object")
-        unknown = sorted(set(spec) - _BENCH_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys {json.dumps(unknown)}")
-        summary_out = spec.get("summary_out")
-        if summary_out is not None and not isinstance(summary_out, str):
-            raise ValueError(
-                f"config summary_out must be a string or null, got {json.dumps(summary_out)}"
-            )
-        for key in ("methods", "problems"):
-            names = spec.get(key, [])
-            if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-                raise ValueError(f"config {key} must be a list of strings")
-    methods = spec.get("methods") or (args.methods.split(",") if args.methods else None)
-    problems = spec.get("problems") or (args.problems.split(",") if args.problems else None)
-    if not methods or not problems:
+        _apply_config(args.config, args)
+    if not args.methods or not args.problems:
         raise ValueError("bench needs --methods and --problems (or a config file)")
-    kinds = [_parse_kind(name.strip()) for name in methods]
-    trials = _at_least_one("trials", _setting(spec, args, "trials", int))
-    base_seed = _setting(spec, args, "seed", int)
-    config = StopConfig(
-        tol=_setting(spec, args, "tol", float),
-        check_every=_setting(spec, args, "check_every", int),
-        max_iters=_setting(spec, args, "max_iters", int),
-        fraction=_setting(spec, args, "fraction", float),
-    )
+    kinds = [_parse_kind(name.strip()) for name in args.methods]
+    _at_least_one("trials", args.trials)
+    config = _stop_config(args)
     if args.jobs != 1:
         print("warning: --jobs ignored; bench runs cells in order", file=sys.stderr)
-    loaded = [_load(path.strip()) for path in problems]
+    loaded = [_load(path.strip()) for path in args.problems]
 
     rows = []
     for kind in kinds:
         for pidx, problem in enumerate(loaded):
-            for trial in range(trials):
-                seed = rngmod.cell_seed(base_seed, kind.value, pidx, trial)
+            for trial in range(args.trials):
+                seed = rngmod.cell_seed(args.seed, kind.value, pidx, trial)
                 record = solve(kind, problem, config, seed)
                 rows.append(_result_row(record, problem, kind.value, seed))
     rows.sort(key=lambda r: (r["method"], r["problem"], r["trial_seed"]))
@@ -267,12 +262,11 @@ def _cmd_bench(args):
         writer.writeheader()
         writer.writerows(rows)
 
-    summary_path = args.summary_out or spec.get("summary_out")
-    if summary_path:
+    if args.summary_out:
         groups = {}
         for row in rows:
             groups.setdefault((row["method"], row["problem"]), []).append(row)
-        with open(summary_path, "w", newline="", encoding="ascii") as fh:
+        with open(args.summary_out, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
             writer.writerow(["method", "problem", "mean_iters", "mean_wall_time_ms", "mean_rse"])
             for (method, label), cell_rows in sorted(groups.items()):
@@ -363,20 +357,12 @@ def _cmd_verify(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
-    handlers = {
-        "gen": _cmd_gen,
-        "solve": _cmd_solve,
-        "bench": _cmd_bench,
-        "verify": _cmd_verify,
-        "constants": _cmd_constants,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (_IoFailure, OracleTooLargeError, MatrixMarketError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

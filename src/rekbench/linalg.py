@@ -164,10 +164,6 @@ class DualSparseMatrix:
     def is_sparse(self):
         return True
 
-    @property
-    def nnz(self):
-        return self.csr_data.size
-
     def row(self, i):
         """(col_indices, values) of the i-th row."""
         if not 0 <= i < self.rows:

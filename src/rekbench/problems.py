@@ -49,20 +49,27 @@ class LsProblem:
         return self.A.shape
 
     def validate(self):
-        """Assert the ground-truth decomposition invariants."""
-        if self.x_star is None or self.r is None:
+        """Check the ground truth that is set: b = A x_star + r, r orthogonal to range(A).
+
+        With x_star and no r, r is taken as b - A x_star.
+        """
+        if self.x_star is None and self.r is None:
             return
-        cache = build_norm_cache(self.A)
-        frob = np.sqrt(cache.frob_sq)
+        frob = np.sqrt(build_norm_cache(self.A).frob_sq)
         b_norm = np.linalg.norm(self.b)
-        resid = self.b - self.A.matvec(self.x_star) - self.r
-        if np.linalg.norm(resid) > 1e-10 * max(b_norm, 1e-300):
-            raise ValueError("b != A x_star + r beyond tolerance")
+        r = self.r
+        if self.x_star is not None:
+            fitted = self.b - self.A.matvec(self.x_star)
+            if r is None:
+                r = fitted
+            elif np.linalg.norm(fitted - r) > 1e-10 * max(b_norm, 1e-300):
+                raise ValueError("b != A x_star + r beyond tolerance")
         # The floor 1e-12 ||A||_F ||b|| admits an r of rounding noise (a
         # consistent or wide problem), which a bound relative to ||r|| rejects.
-        bound = frob * (1e-8 * np.linalg.norm(self.r) + 1e-12 * b_norm)
-        if np.linalg.norm(self.A.rmatvec(self.r)) > bound:
-            raise ValueError("r is not orthogonal to range(A) beyond tolerance")
+        bound = frob * (1e-8 * np.linalg.norm(r) + 1e-12 * b_norm)
+        if np.linalg.norm(self.A.rmatvec(r)) > bound:
+            name = "r" if self.r is not None else "b - A x_star"
+            raise ValueError(f"{name} is not orthogonal to range(A) beyond tolerance")
 
 
 def _checked_vector(values, name, size):
@@ -420,6 +427,8 @@ def load_problem(directory):
             meta = json.load(fh)
         if not isinstance(meta, dict):
             raise ValueError(f"{meta_path} must hold a JSON object, not {type(meta).__name__}")
+        if not isinstance(meta.get("label", ""), str):
+            raise ValueError(f"{meta_path} label must be a string, got {json.dumps(meta['label'])}")
     problem = LsProblem(A=A, **vectors, label=meta.get("label", ""), meta=meta)
     problem.validate()
     return problem

@@ -83,25 +83,20 @@ def pick_from_cdf(cdf, rng, skip=None):
     return skip + 1 + min(after, last - skip - 1)
 
 
-def _draw(weights, index_set, rng):
-    """One draw from index_set with probability proportional to weights.
+def weighted_pick(residual_sq, index_set, rng):
+    """Draw from index_set with probability proportional to residual_sq.
 
     The same algorithm and the same single rng.random() call as
     rng.choice(index_set, p=w / w.sum()), so the draws are identical,
     without its argument checks.
     """
     index_set = np.asarray(index_set)
-    return int(index_set[pick_from_cdf(cumulative_weights(weights[index_set]), rng)])
-
-
-def weighted_pick(residual_sq, index_set, rng):
-    """Draw from index_set with probability proportional to residual_sq."""
-    return _draw(residual_sq, index_set, rng)
+    return int(index_set[pick_from_cdf(cumulative_weights(residual_sq[index_set]), rng)])
 
 
 def weighted_pick_norms(sq_norms, index_set, rng):
     """Draw from index_set with probability proportional to squared line norms."""
-    return _draw(sq_norms, index_set, rng)
+    return weighted_pick(sq_norms, index_set, rng)
 
 
 def simple_random_sample(population, fraction, rng):

@@ -120,10 +120,11 @@ SAMPLING_KINDS = frozenset(k for k, m in METHODS.items() if m.rule in _SAMPLE_RU
 
 @dataclass
 class StopConfig:
+    """The run settings, and the one place their defaults are stated."""
+
     tol: float = 1e-5
     check_every: int | None = None  # default min(m, n)
     max_iters: int | None = None  # default 200 * min(m, n)
-    track_history: bool = False
     fraction: float = 0.01  # sampling fraction for the *S methods
 
     def __post_init__(self):
@@ -234,7 +235,7 @@ class RunRecord:
     final_primary_residual: float
     final_dual_residual: float
     converged: bool
-    history: list
+    history: list  # (k, primary, dual, rse) at every check
 
 
 def rse(x, x_star):
@@ -449,8 +450,7 @@ def solve(kind, problem, config=None, seed=0):
         step(state, problem, caches, config)
         if state.k % check_every == 0 or state.k == max_iters:
             state.refresh(problem)
-            if config.track_history:
-                history.append((state.k, *_residual_norms(state), _current_rse(state, problem)))
+            history.append((state.k, *_residual_norms(state), _current_rse(state, problem)))
             if converged(state, problem, caches, config):
                 done = True
                 break

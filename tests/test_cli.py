@@ -8,7 +8,7 @@ import pytest
 from rekbench import cli, linalg, theory
 from rekbench.cli import main
 from rekbench.problems import gen_gaussian, load_problem, write_matrix_market
-from rekbench.solvers import solve
+from rekbench.solvers import SolverKind, StopConfig, solve
 
 
 def run(capsys, *argv):
@@ -574,3 +574,125 @@ def test_negative_seed_is_usage_error(capsys, tmp_path, command):
     code, out, err = run(capsys, *argv, "--seed", "-1")
     assert_usage_error(code, out, err)
     assert "Traceback" not in err
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_bench_config_summary_out_overrides_its_flag(capsys, tmp_path):
+    path = gen_bundle(capsys, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"summary_out": str(tmp_path / "config.csv")}))
+    code, _, err = run(
+        capsys,
+        "bench", "--config", str(cfg), "--methods", "SREK", "--problems", path, "--trials", "1",
+        "--out", str(tmp_path / "res.csv"), "--summary-out", str(tmp_path / "flag.csv"),
+    )
+    assert code == 0, err
+    assert (tmp_path / "config.csv").exists()
+    assert not (tmp_path / "flag.csv").exists()
+
+
+def test_bench_config_tol_overrides_its_flag(capsys, tmp_path):
+    path = gen_bundle(capsys, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-3}))
+
+    def iters(*argv):
+        out_csv = tmp_path / "res.csv"
+        code, _, err = run(
+            capsys,
+            "bench", "--methods", "REK", "--problems", path, "--trials", "2",
+            "--out", str(out_csv), *argv,
+        )
+        assert code == 0, err
+        return [row["iters"] for row in read_rows(out_csv)]
+
+    with_config = iters("--config", str(cfg), "--tol", "1e-9")
+    assert with_config == iters("--tol", "1e-3")
+    assert with_config != iters("--tol", "1e-9")
+
+
+@pytest.mark.parametrize("key", ["methods", "problems"])
+def test_bench_config_empty_list_overrides_its_flag(capsys, tmp_path, key):
+    path = gen_bundle(capsys, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: []}))
+    out_csv = tmp_path / "res.csv"
+    code, out, err = run(
+        capsys,
+        "bench", "--config", str(cfg), "--methods", "REK", "--problems", path,
+        "--out", str(out_csv),
+    )
+    assert_usage_error(code, out, err)
+    assert "bench needs --methods and --problems" in err
+    assert not out_csv.exists()
+
+
+def test_rows_without_setting_flags_run_stop_config_defaults(capsys, tmp_path):
+    path = gen_bundle(capsys, tmp_path)
+    problem = load_problem(path)
+    code, out, err = run(capsys, "solve", "--method", "TREKS", "--problem", path, "--seed", "3")
+    assert code == 0, err
+    row = json.loads(out)
+    expected = solve(SolverKind.TREKS, problem, StopConfig(), 3)
+    assert (row["iters"], row["rse"]) == (expected.iters, expected.final_rse)
+
+    out_csv = tmp_path / "res.csv"
+    code, _, err = run(
+        capsys,
+        "bench", "--methods", "TREKS", "--problems", path, "--trials", "2", "--out", str(out_csv),
+    )
+    assert code == 0, err
+    for row in read_rows(out_csv):
+        expected = solve(SolverKind.TREKS, problem, StopConfig(), int(row["trial_seed"]))
+        assert (int(row["iters"]), float(row["rse"])) == (expected.iters, expected.final_rse)
+
+
+@pytest.mark.parametrize("missing", ["x_star", "r"])
+@pytest.mark.parametrize("generator", sorted(GEN_ARGS))
+def test_every_generated_bundle_loads_with_one_truth_file(capsys, tmp_path, generator, missing):
+    argv = GEN_ARGS[generator]
+    if generator == "from-mtx":
+        write_matrix_market(gen_gaussian(12, 30, 1), tmp_path / "A.mtx")
+        argv += ("--path", str(tmp_path / "A.mtx"))
+    path = tmp_path / "bundle"
+    assert run(capsys, "gen", *argv, "--out", str(path))[0] == 0
+    (path / f"{missing}.txt").unlink()
+    assert getattr(load_problem(str(path)), missing) is None
+
+
+@pytest.mark.parametrize("edited, missing", [("x_star", "r"), ("r", "x_star")])
+def test_solve_bundle_with_one_edited_truth_file_io_error(capsys, tmp_path, edited, missing):
+    path = gen_bundle(capsys, tmp_path)
+    vec_txt = tmp_path / "prob" / f"{edited}.txt"
+    vec = np.loadtxt(vec_txt)
+    vec[3 if edited == "x_star" else 0] += 1.0
+    np.savetxt(vec_txt, vec, fmt="%.17g")
+    (tmp_path / "prob" / f"{missing}.txt").unlink()
+    code, out, err = run(capsys, "solve", "--method", "GREK", "--problem", path)
+    assert code == 2
+    assert out == ""
+    assert "not orthogonal to range(A)" in err
+
+
+@pytest.mark.parametrize("label", [None, 3])
+def test_bench_bundle_with_non_string_label_io_error(capsys, tmp_path, label):
+    first = gen_bundle(capsys, tmp_path, "p1")
+    second = gen_bundle(capsys, tmp_path, "p2", seed=8)
+    meta_json = tmp_path / "p2" / "meta.json"
+    meta = json.loads(meta_json.read_text())
+    meta["label"] = label
+    meta_json.write_text(json.dumps(meta))
+    out_csv = tmp_path / "res.csv"
+    code, out, err = run(
+        capsys,
+        "bench", "--methods", "REK", "--problems", f"{first},{second}", "--out", str(out_csv),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "label must be a string" in err
+    assert not out_csv.exists()

@@ -70,6 +70,16 @@ def test_r_with_a_range_component_rejected():
         q.validate()
 
 
+@pytest.mark.parametrize("kept", ["x_star", "r"])
+def test_validate_checks_either_truth_vector_alone(kept):
+    p = make_inconsistent_problem(gen_gaussian(40, 10, 1), 1)
+    LsProblem(A=p.A, b=p.b, **{kept: getattr(p, kept)}).validate()
+    edited = getattr(p, kept).copy()
+    edited[3 if kept == "x_star" else 0] += 1.0
+    with pytest.raises(ValueError, match="not orthogonal"):
+        LsProblem(A=p.A, b=p.b, **{kept: edited}).validate()
+
+
 def test_range_split_identity():
     b = np.array([3.0, 4.0])
     b_perp = project_off_range(DenseMatrix(np.eye(2)), b)

@@ -92,8 +92,7 @@ class CountingMatrix(DenseMatrix):
         return super().rmatvec(z)
 
 
-@pytest.mark.parametrize("track_history", [False, True])
-def test_solve_forms_fresh_residuals_once_per_check(monkeypatch, track_history):
+def test_solve_forms_fresh_residuals_once_per_check(monkeypatch):
     base = make_inconsistent_problem(gen_gaussian(40, 10, 3), 3)
     A = CountingMatrix(base.A.values)
     problem = LsProblem(A=A, b=base.b, x_star=base.x_star, r=base.r)
@@ -107,7 +106,7 @@ def test_solve_forms_fresh_residuals_once_per_check(monkeypatch, track_history):
             A.counting = True
 
     monkeypatch.setattr(solvers, "step", uncounted_step)
-    config = StopConfig(tol=1e-30, check_every=10, max_iters=100, track_history=track_history)
+    config = StopConfig(tol=1e-30, check_every=10, max_iters=100)
     rec = solve(SolverKind.SREK, problem, config, seed=0)
     assert rec.iters == 100 and not rec.converged
     # One A x and one A^T z per check; the initial g = A^T b is the extra rmatvec.
@@ -194,15 +193,21 @@ def test_solve_max_iters_zero():
 
 def test_solve_records_history():
     problem = make_inconsistent_problem(gen_gaussian(20, 6, 10), 10)
-    rec = solve(
-        SolverKind.GREK, problem, StopConfig(tol=1e-8, check_every=6, track_history=True), seed=0
-    )
+    rec = solve(SolverKind.GREK, problem, StopConfig(tol=1e-8, check_every=6), seed=0)
     assert rec.history
     steps = [row[0] for row in rec.history]
     assert steps == sorted(steps)
     assert all(k % 6 == 0 for k in steps[:-1])
     rses = [row[3] for row in rec.history]
     assert rses[-1] <= 1e-8
+
+
+def test_solve_history_ends_at_the_final_check():
+    problem = make_inconsistent_problem(gen_gaussian(20, 6, 10), 10)
+    rec = solve(SolverKind.REK, problem, StopConfig(), seed=0)
+    assert rec.history[-1] == (
+        rec.iters, rec.final_primary_residual, rec.final_dual_residual, rec.final_rse
+    )
 
 
 @pytest.mark.parametrize("kind", sorted(EXTENDED_KINDS))
@@ -249,7 +254,7 @@ def test_z_error_monotone(kind):
 def test_fixed_seed_bitwise_reproducible(kind):
     problem = make_inconsistent_problem(gen_gaussian(16, 6, 14), 14)
     recs = [
-        solve(kind, problem, StopConfig(tol=1e-6, max_iters=300, track_history=True), seed=11)
+        solve(kind, problem, StopConfig(tol=1e-6, max_iters=300), seed=11)
         for _ in range(2)
     ]
     assert recs[0].iters == recs[1].iters
