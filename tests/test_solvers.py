@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,10 +94,13 @@ class CountingMatrix(DenseMatrix):
         return super().rmatvec(z)
 
 
-def test_solve_forms_fresh_residuals_once_per_check(monkeypatch):
+@pytest.mark.parametrize("known_solution", [False, True])
+def test_solve_forms_fresh_residuals_once_per_check(monkeypatch, known_solution):
     base = make_inconsistent_problem(gen_gaussian(40, 10, 3), 3)
     A = CountingMatrix(base.A.values)
-    problem = LsProblem(A=A, b=base.b, x_star=base.x_star, r=base.r)
+    # The RSE column of the history needs no product, with or without x_star.
+    reference = {"x_star": base.x_star, "r": base.r} if known_solution else {}
+    problem = LsProblem(A=A, b=base.b, **reference)
     original_step = solvers.step
 
     def uncounted_step(*args):
@@ -109,6 +114,9 @@ def test_solve_forms_fresh_residuals_once_per_check(monkeypatch):
     config = StopConfig(tol=1e-30, check_every=10, max_iters=100)
     rec = solve(SolverKind.SREK, problem, config, seed=0)
     assert rec.iters == 100 and not rec.converged
+    assert len(rec.history) == 10
+    rses = [row[3] for row in rec.history]
+    assert all(math.isfinite(v) if known_solution else math.isnan(v) for v in rses)
     # One A x and one A^T z per check; the initial g = A^T b is the extra rmatvec.
     assert A.calls == {"matvec": 10, "rmatvec": 11}
 
