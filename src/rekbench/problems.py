@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -139,6 +140,9 @@ def make_inconsistent_problem(A, seed, label=""):
 # ---------------------------------------------------------------------------
 # Matrix Market I/O
 
+# Lines per block of the bundle writer and of the array-format reader.
+IO_BLOCK = 4096
+
 
 class MatrixMarketError(ValueError):
     """Parse failure, carrying the 1-based line number."""
@@ -154,8 +158,14 @@ def read_matrix_market(path):
     Coordinate files become DualSparseMatrix, array files DenseMatrix.
     Symmetric storage is expanded to full; indices convert to 0-based.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # The bad byte is on the line that a non-break character there would end.
+        line_no = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        raise MatrixMarketError(f"non-ASCII byte 0x{data[exc.start]:02x}", line_no) from None
     if not lines:
         raise MatrixMarketError("empty file", 1)
     header = lines[0].split()
@@ -239,7 +249,25 @@ def read_matrix_market(path):
         return DualSparseMatrix(m, n, ii, jj, vv)
 
     expected = m * n if sym == "general" else m * (m + 1) // 2
-    vals = [_value(w, ln) for ln, words in _entries() for w in words]
+    # One float pass per block of data lines.  A block without "%" holds no
+    # comment line, and split() skips blank ones.  A block that fails is
+    # walked value by value, which raises at its first bad value and line.
+    blocks = []
+    for start in range(size_line_no, len(lines), IO_BLOCK):
+        block_lines = lines[start : start + IO_BLOCK]
+        text = "\n".join(block_lines)
+        if "%" in text:
+            text = "\n".join(t for t in map(str.strip, block_lines) if not t.startswith("%"))
+        try:
+            block = np.array(list(map(float, text.split())))
+        except ValueError:
+            block = None
+        if block is None or not np.isfinite(block).all():
+            for ln, words in _entries():
+                for word in words:
+                    _value(word, ln)
+        blocks.append(block)
+    vals = np.concatenate(blocks) if blocks else np.empty(0)
     if len(vals) != expected:
         raise MatrixMarketError(f"expected {expected} values, found {len(vals)}", len(lines))
     out = np.empty((m, n))
@@ -262,16 +290,21 @@ def write_matrix_market(A, path):
     Sparse matrices use coordinate format, dense matrices array format, so
     reading the file back reproduces both the type and the exact entries.
     """
-    if A.is_sparse:
-        i, j, v = A.triples()
-        header = f"%%MatrixMarket matrix coordinate real general\n{A.rows} {A.cols} {v.size}\n"
-        body = "".join(map("{} {} {:.17g}\n".format, (i + 1).tolist(), (j + 1).tolist(), v.tolist()))
-    else:
-        header = f"%%MatrixMarket matrix array real general\n{A.rows} {A.cols}\n"
-        body = "".join(map("{:.17g}\n".format, A.values.T.ravel().tolist()))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header)
-        fh.write(body)
+        if A.is_sparse:
+            i, j, v = A.triples()
+            fh.write(f"%%MatrixMarket matrix coordinate real general\n{A.rows} {A.cols} {v.size}\n")
+            _write_lines(fh, "%d %d %.17g\n", i + 1, j + 1, v)
+        else:
+            fh.write(f"%%MatrixMarket matrix array real general\n{A.rows} {A.cols}\n")
+            _write_lines(fh, "%.17g\n", A.values.T.ravel())
+
+
+def _write_lines(fh, line, *columns):
+    """Write line % (c[k] for c in columns) for each k, one % per IO_BLOCK lines."""
+    for start in range(0, len(columns[0]), IO_BLOCK):
+        parts = [c[start : start + IO_BLOCK].tolist() for c in columns]
+        fh.write(line * len(parts[0]) % tuple(chain.from_iterable(zip(*parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +437,8 @@ def save_problem(problem, directory):
     for name in BUNDLE_VECTORS:
         vec = getattr(problem, name)
         if vec is not None:
-            np.savetxt(os.path.join(directory, f"{name}.txt"), vec, fmt="%.17g")
+            with open(os.path.join(directory, f"{name}.txt"), "w", encoding="ascii") as fh:
+                _write_lines(fh, "%.17g\n", vec)
     meta = {"label": problem.label, "m": problem.A.rows, "n": problem.A.cols}
     meta.update(problem.meta)
     meta["rng"] = rngmod.GENERATOR_NAME

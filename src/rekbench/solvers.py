@@ -398,17 +398,18 @@ def _residual_norms(state):
     return tuple(math.nan if v is None else float(np.linalg.norm(v)) for v in (state.r, state.g))
 
 
-def converged(state, problem, caches, config):
+def converged(state, problem, caches, config, norms=None):
     """The stopping criteria for the state's method, on its r and g.
 
     The caller refreshes the state first, so r and g are the fresh
     residuals of x and z rather than the incrementally maintained ones.
+    norms, when given, is their _residual_norms pair.
     """
     method = METHODS[state.kind]
     tol = config.tol
     frob_sq = caches.norms.frob_sq
     frob = math.sqrt(frob_sq)
-    primary, dual = _residual_norms(state)
+    primary, dual = norms or _residual_norms(state)
     if not method.rows:
         z_norm = float(np.linalg.norm(state.z))
         return z_norm == 0.0 or dual <= tol * frob_sq * z_norm
@@ -445,18 +446,20 @@ def solve(kind, problem, config=None, seed=0):
     done = False
     t0 = time.perf_counter()
     if max_iters == 0:
-        done = converged(state, problem, caches, config)
+        norms = _residual_norms(state)
+        done = converged(state, problem, caches, config, norms)
     for _ in range(max_iters):
         step(state, problem, caches, config)
         if state.k % check_every == 0 or state.k == max_iters:
             state.refresh(problem)
-            history.append((state.k, *_residual_norms(state), _current_rse(state, problem)))
-            if converged(state, problem, caches, config):
+            norms = _residual_norms(state)
+            history.append((state.k, *norms, _current_rse(state, problem)))
+            if converged(state, problem, caches, config, norms):
                 done = True
                 break
     wall = time.perf_counter() - t0
-    # The loop ends on a check, and the initial r and g are already fresh.
-    primary, dual = _residual_norms(state)
+    # The record takes the last check's norms (of the fresh initial r and g at 0 steps).
+    primary, dual = norms
     final_rse = _current_rse(state, problem)
     return RunRecord(
         kind=kind,

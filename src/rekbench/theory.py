@@ -228,8 +228,10 @@ def empirical_contraction(kind, problem, trials, steps, seed=0):
         if problem.x_star is None:
             raise ValueError("consistent-method contraction needs x_star")
         target = problem.x_star
-    else:
-        target = problem.r if problem.r is not None else project_off_range(problem.A, problem.b)
+    elif problem.r is None and problem.x_star is None:
+        target = project_off_range(problem.A, problem.b)
+    else:  # r, or b - A x_star as LsProblem.validate takes it
+        target = problem.b - problem.A.matvec(problem.x_star) if problem.r is None else problem.r
 
     def error_sq(state):
         return float(np.sum(((state.x if consistent else state.z) - target) ** 2))

@@ -1,11 +1,12 @@
 import csv
 import json
+import os
 import threading
 
 import numpy as np
 import pytest
 
-from rekbench import cli, linalg, theory
+from rekbench import cli, linalg, problems, theory
 from rekbench.cli import main
 from rekbench.problems import gen_gaussian, load_problem, write_matrix_market
 from rekbench.solvers import SolverKind, StopConfig, solve
@@ -328,6 +329,27 @@ def test_verify_gaussian_passes(capsys, tmp_path):
     assert report["pass"] is True
     assert report["checks"]["thm1_gproj"]["pass"] is True
     assert report["checks"]["thm3_sproj"]["pass"] is True
+
+
+def test_verify_without_r_takes_it_from_x_star(capsys, tmp_path, monkeypatch):
+    path = gen_bundle(capsys, tmp_path)
+    argv = ("verify", "--problem", path, "--trials", "2", "--steps", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    with_r = json.loads(out)["checks"]
+    os.remove(os.path.join(path, "r.txt"))
+    oracle_calls, oracle = [], problems.direct_least_squares
+
+    def counted_oracle(*args):
+        oracle_calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(problems, "direct_least_squares", counted_oracle)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and oracle_calls == []
+    without_r = json.loads(out)["checks"]
+    for check, key in (("thm1_gproj", "mean_ratios"), ("thm3_sproj", "ratios")):
+        np.testing.assert_allclose(without_r[check][key], with_r[check][key], rtol=1e-12)
 
 
 def test_verify_rate_only(capsys, tmp_path):

@@ -121,6 +121,38 @@ def test_solve_forms_fresh_residuals_once_per_check(monkeypatch, known_solution)
     assert A.calls == {"matvec": 10, "rmatvec": 11}
 
 
+@pytest.mark.parametrize("tol, max_iters", [(1e-30, 100), (1e-5, 1000)])
+def test_solve_takes_the_norms_once_per_check(monkeypatch, tol, max_iters):
+    problem = make_inconsistent_problem(gen_gaussian(40, 10, 3), 3)
+    original_norms, original_converged = solvers._residual_norms, solvers.converged
+    norm_calls, checks = [], []
+
+    def counted_norms(state):
+        norm_calls.append(state.k)
+        return original_norms(state)
+
+    def checked_converged(state, problem, caches, config, norms=None):
+        decision = original_converged(state, problem, caches, config, norms)
+        # The pair handed in is the fresh one, and stops the run as it would
+        # (these reference calls are not counted).
+        monkeypatch.setattr(solvers, "_residual_norms", original_norms)
+        assert norms == original_norms(state)
+        assert decision == original_converged(state, problem, caches, config)
+        monkeypatch.setattr(solvers, "_residual_norms", counted_norms)
+        checks.append((state.k, *norms))
+        return decision
+
+    monkeypatch.setattr(solvers, "_residual_norms", counted_norms)
+    monkeypatch.setattr(solvers, "converged", checked_converged)
+    config = StopConfig(tol=tol, check_every=10, max_iters=max_iters)
+    rec = solve(SolverKind.SREK, problem, config, seed=0)
+    # 100 steps at tol 1e-30 take 10 checks; tol 1e-5 stops before the cap.
+    assert rec.converged == (rec.iters < max_iters) == (tol == 1e-5)
+    assert norm_calls == [row[0] for row in rec.history] == list(range(10, rec.iters + 1, 10))
+    assert [row[:3] for row in rec.history] == checks
+    assert (rec.final_primary_residual, rec.final_dual_residual) == checks[-1][1:]
+
+
 def test_converged_at_zero_x_scales_by_b():
     problem = make_inconsistent_problem(gen_gaussian(12, 5, 4), 4)
     caches = build_caches(problem.A, SolverKind.REK)
