@@ -10,11 +10,13 @@ JSON metadata.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -140,7 +142,8 @@ def make_inconsistent_problem(A, seed, label=""):
 # ---------------------------------------------------------------------------
 # Matrix Market I/O
 
-# Lines per block of the bundle writer and of the array-format reader.
+# Lines per block of the bundle writer and of the Matrix Market reader, which
+# takes 8 * IO_BLOCK bytes of the file per read.
 IO_BLOCK = 4096
 
 
@@ -157,18 +160,86 @@ def read_matrix_market(path):
 
     Coordinate files become DualSparseMatrix, array files DenseMatrix.
     Symmetric storage is expanded to full; indices convert to 0-based.
+    A read parses IO_BLOCK lines at a time, so its peak follows the matrix, not the text.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        lines = data.decode("ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        # The bad byte is on the line that a non-break character there would end.
-        line_no = len((data[: exc.start].decode("ascii") + "x").splitlines())
-        raise MatrixMarketError(f"non-ASCII byte 0x{data[exc.start]:02x}", line_no) from None
-    if not lines:
+        # An error is named by reading again from the top, so a pipe is read whole.
+        src = fh if fh.seekable() else io.BytesIO(fh.read())
+        try:
+            return _parse_matrix_market(src, os.fstat(fh.fileno()).st_size)
+        except MatrixMarketError:
+            src.seek(0)
+            for _ in _line_blocks(src):  # a non-ASCII byte anywhere outranks a parse error
+                pass
+            raise
+
+
+def _line_blocks(fh):
+    """Yield fh's lines, with their breaks, as str.splitlines splits them, a list per read."""
+    tail, done = "", 0
+    while data := fh.read(8 * IO_BLOCK):
+        try:
+            text = tail + data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # The bad byte is on the line that a non-break character there would end.
+            line_no = done + len((tail + data[: exc.start].decode("ascii") + "x").splitlines())
+            raise MatrixMarketError(f"non-ASCII byte 0x{data[exc.start]:02x}", line_no) from None
+        lines = text.splitlines(keepends=True)
+        # A line not yet ended, or ended by a "\r" that a "\n" may join, waits a read.
+        tail = lines.pop() if lines[-1][-1] not in "\n\v\f\x1c\x1d\x1e" else ""
+        done += len(lines)
+        yield lines
+    yield tail.splitlines(keepends=True)
+
+
+def _parse_matrix_market(src, file_bytes):
+    """The matrix in the seekable binary file src, which holds file_bytes bytes (0: unknown)."""
+    def _number(convert, word):
+        """convert(word), refusing the digit-group underscores that int and float accept."""
+        return convert(word if "_" not in word else "_")
+
+    def _words(line):
+        """The words of a data line; none for a blank or comment line."""
+        words = line.split()
+        return [] if words and words[0].startswith("%") else words
+
+    def _value(word, ln):
+        try:
+            v = _number(float, word)
+        except ValueError:
+            raise MatrixMarketError(f"malformed value {word!r}", ln) from None
+        if not math.isfinite(v):
+            raise MatrixMarketError(f"non-finite value {word!r}", ln)
+
+    def _walk_coordinate():
+        """Check the entries one by one from the top of the file; raise the first error."""
+        seen, ln = set(), size_line_no
+        src.seek(0)
+        data = islice(chain.from_iterable(_line_blocks(src)), size_line_no, None)
+        for ln, words in enumerate(map(_words, data), size_line_no + 1):
+            if not words:
+                continue
+            if len(words) != 3:
+                raise MatrixMarketError("coordinate entry needs 'i j value'", ln)
+            try:
+                i, j = _number(int, words[0]), _number(int, words[1])
+            except ValueError:
+                raise MatrixMarketError("malformed coordinate entry", ln) from None
+            _value(words[2], ln)
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise MatrixMarketError(f"index ({i}, {j}) out of range for {m}x{n}", ln)
+            if symmetric and j > i:
+                raise MatrixMarketError("symmetric entry above the diagonal", ln)
+            if (i, j) in seen:
+                raise MatrixMarketError(f"duplicate entry ({i}, {j})", ln)
+            seen.add((i, j))
+        raise MatrixMarketError(f"expected {nnz} entries, found {len(seen)}", ln)
+
+    lines = chain.from_iterable(_line_blocks(src))
+    header = next(lines, None)
+    if header is None:
         raise MatrixMarketError("empty file", 1)
-    header = lines[0].split()
+    header = header.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
         raise MatrixMarketError("malformed Matrix Market header", 1)
     fmt, fld, sym = (w.lower() for w in header[2:])
@@ -180,34 +251,17 @@ def read_matrix_market(path):
         raise MatrixMarketError(f"unsupported symmetry {sym!r}", 1)
 
     size_line_no = 1
-    for size_line_no, line in enumerate(lines[1:], start=2):
-        if line.strip() and not line.lstrip().startswith("%"):
+    for size_line_no, parts in enumerate(map(_words, lines), start=2):
+        if parts:
             break
     else:
         raise MatrixMarketError("missing size line", size_line_no)
-    parts = lines[size_line_no - 1].split()
-
-    def _value(word, ln):
-        try:
-            v = float(word)
-        except ValueError:
-            raise MatrixMarketError(f"malformed value {word!r}", ln) from None
-        if not math.isfinite(v):
-            raise MatrixMarketError(f"non-finite value {word!r}", ln)
-        return v
-
-    def _entries():
-        for ln in range(size_line_no + 1, len(lines) + 1):
-            text = lines[ln - 1].strip()
-            if text and not text.startswith("%"):
-                yield ln, text.split()
-
     coordinate = fmt == "coordinate"
     fields = "rows cols nnz" if coordinate else "rows cols"
     if len(parts) != len(fields.split()):
         raise MatrixMarketError(f"{fmt} size line needs '{fields}'", size_line_no)
     try:
-        size = [int(p) for p in parts]
+        size = [_number(int, p) for p in parts]
     except ValueError:
         raise MatrixMarketError("non-integer size line", size_line_no) from None
     m, n = size[:2]
@@ -215,72 +269,68 @@ def read_matrix_market(path):
     if m < 1 or n < 1 or nnz < 0:
         need = "rows, cols >= 1" + (" and nnz >= 0" if coordinate else "")
         raise MatrixMarketError(f"size {' '.join(map(str, size))}: need {need}", size_line_no)
-    if sym == "symmetric" and m != n:
+    symmetric = sym == "symmetric"
+    if symmetric and m != n:
         raise MatrixMarketError("symmetric matrix must be square", size_line_no)
-    if coordinate:
-        ii, jj, vv = [], [], []
-        seen = set()
-        count = 0
-        for ln, words in _entries():
-            if len(words) != 3:
-                raise MatrixMarketError("coordinate entry needs 'i j value'", ln)
-            try:
-                i, j = int(words[0]), int(words[1])
-            except ValueError:
-                raise MatrixMarketError("malformed coordinate entry", ln) from None
-            v = _value(words[2], ln)
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise MatrixMarketError(f"index ({i}, {j}) out of range for {m}x{n}", ln)
-            if sym == "symmetric" and j > i:
-                raise MatrixMarketError("symmetric entry above the diagonal", ln)
-            if (i, j) in seen:
-                raise MatrixMarketError(f"duplicate entry ({i}, {j})", ln)
-            seen.add((i, j))
-            ii.append(i - 1)
-            jj.append(j - 1)
-            vv.append(v)
-            if sym == "symmetric" and i != j:
-                ii.append(j - 1)
-                jj.append(i - 1)
-                vv.append(v)
-            count += 1
-        if count != nnz:
-            raise MatrixMarketError(f"expected {nnz} entries, found {count}", len(lines))
-        return DualSparseMatrix(m, n, ii, jj, vv)
-
-    expected = m * n if sym == "general" else m * (m + 1) // 2
-    # One float pass per block of data lines.  A block without "%" holds no
-    # comment line, and split() skips blank ones.  A block that fails is
-    # walked value by value, which raises at its first bad value and line.
-    blocks = []
-    for start in range(size_line_no, len(lines), IO_BLOCK):
-        block_lines = lines[start : start + IO_BLOCK]
-        text = "\n".join(block_lines)
+    expected = nnz if coordinate else m * n if not symmetric else m * (m + 1) // 2
+    # A value takes two bytes at least: a file's size caps the buffers, a pipe's 0 does not.
+    capacity = min(expected, (file_bytes or 2 * expected) // 2 + 1)
+    # Array values come column by column, so a general array's go in through out.T.flat.
+    dense = not coordinate and capacity == expected
+    out = np.empty((m, n) if dense else 0)
+    vals = out.T.flat if dense and not symmetric else np.empty(capacity)
+    ii, jj = (np.empty(capacity if coordinate else 0, np.int64) for _ in range(2))
+    found, ln = 0, size_line_no
+    for block in iter(lambda: list(islice(lines, IO_BLOCK)), []):
+        first, ln = ln + 1, ln + len(block)
+        text = "".join(block)
         if "%" in text:
-            text = "\n".join(t for t in map(str.strip, block_lines) if not t.startswith("%"))
-        try:
-            block = np.array(list(map(float, text.split())))
-        except ValueError:
-            block = None
-        if block is None or not np.isfinite(block).all():
-            for ln, words in _entries():
+            text = "\n".join(t for t in map(str.strip, block) if not t.startswith("%"))
+        if coordinate:
+            # Triples are checked after the read; any failure walks the file.
+            rows = list(filter(None, map(str.split, text.splitlines())))
+            k = found + len(rows)
+            if "_" in text or k > capacity or set(map(len, rows)) - {3}:
+                _walk_coordinate()
+            try:
+                for dest, convert, words in zip((ii, jj, vals), (int, int, float), zip(*rows)):
+                    dest[found:k] = list(map(convert, words))
+            except (ValueError, OverflowError):
+                _walk_coordinate()
+            found = k
+            continue
+        # One float pass per block; values past the buffer are only counted.  A
+        # block that fails is walked value by value: it holds the first bad value.
+        got = None
+        with suppress(ValueError):  # a malformed value
+            got = None if "_" in text else np.array(list(map(float, text.split())))
+        if got is None or not np.isfinite(got).all():
+            for line_no, words in enumerate(map(_words, block), first):
                 for word in words:
-                    _value(word, ln)
-        blocks.append(block)
-    vals = np.concatenate(blocks) if blocks else np.empty(0)
-    if len(vals) != expected:
-        raise MatrixMarketError(f"expected {expected} values, found {len(vals)}", len(lines))
-    out = np.empty((m, n))
-    if sym == "general":
-        # Array format lists values column by column.
-        out[:] = np.asarray(vals).reshape((n, m)).T
-    else:
-        pos = 0
-        for j in range(n):
-            col = vals[pos : pos + (m - j)]
-            pos += m - j
-            out[j:, j] = col
-            out[j, j:] = col
+                    _value(word, line_no)
+        vals[found : found + got.size] = got[: max(capacity - found, 0)]
+        found += got.size
+    if coordinate:
+        i, j, v = ii[:found], jj[:found], vals[:found]
+        i -= 1
+        j -= 1
+        if found == nnz and not (symmetric and (j > i).any()):
+            if symmetric:
+                off = i != j
+                i, j, v = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[v, v[off]]
+            with suppress(ValueError):  # an index out of range, a non-finite value or a duplicate
+                return DualSparseMatrix(m, n, i, j, v)
+        _walk_coordinate()
+    if found != expected:
+        raise MatrixMarketError(f"expected {expected} values, found {found}", ln)
+    if not symmetric:
+        return DenseMatrix(out)
+    pos = 0
+    for j in range(n):
+        col = vals[pos : pos + (m - j)]
+        pos += m - j
+        out[j:, j] = col
+        out[j, j:] = col
     return DenseMatrix(out)
 
 
