@@ -3,6 +3,8 @@
 Extended Kaczmarz methods touch rows and columns of A every step, so
 sparse matrices are stored in a dual CSR + CSC layout (both views of the
 same entries), where a row and a column are each one contiguous slice.
+The CSC view is derived from the CSR one by one stable sort, and each
+sparse kernel has one body that serves rows and columns alike.
 Dense matrices wrap a contiguous row-major 2-D array, so their access is
 not symmetric: a row is a contiguous view and a column a strided one (on
 2000 x 500, scaling a column takes about 8 us, a row about 1.5 us).  The
@@ -117,13 +119,34 @@ class DenseMatrix:
         return self.values.copy()
 
 
+def _pair_dot(size, idx1, val1, idx2, val2):
+    """Inner product of two sparse lines of length size, each given as (indices, values)."""
+    scratch = np.zeros(size)
+    scratch[idx1] = val1
+    return float(val2 @ scratch[idx2])
+
+
+def _combination(size, lines, coeffs):
+    """sum_k coeffs[k] * lines[k] over sparse (indices, values) lines, as a new size-vector."""
+    out = np.zeros(size)
+    for (idx, val), c in zip(lines, coeffs):
+        out[idx] += c * val
+    return out
+
+
+def _product(out_ids, in_ids, data, x, size):
+    """A x from (row ids, column ids) of the entries, or A^T x with the two swapped."""
+    return np.bincount(out_ids, weights=data * x[in_ids], minlength=size)
+
+
 class DualSparseMatrix:
     """Sparse real matrix stored in both CSR and CSC form.
 
     Both views hold identical (i, j, v) triples; indices are strictly
     increasing within each row (CSR) and each column (CSC).  Row access
     costs O(nnz/m) and column access O(nnz/n), which is what alternating
-    row/column action methods need.
+    row/column action methods need.  CSR sorts the triples once and CSC is a
+    stable sort of its column indices; row and column kernels share one body.
     """
 
     def __init__(self, rows, cols, i, j, v):
@@ -141,6 +164,7 @@ class DualSparseMatrix:
 
         order = np.lexsort((j, i))  # row-major
         ri, rj, rv = i[order], j[order], v[order]
+        del order
         if ri.size > 1 and np.any((ri[1:] == ri[:-1]) & (rj[1:] == rj[:-1])):
             raise ValueError("duplicate (i, j) entry")
         self.csr_indptr = np.zeros(rows + 1, dtype=np.int64)
@@ -149,12 +173,11 @@ class DualSparseMatrix:
         self.csr_data = rv
         self.csr_rowids = ri
 
-        order = np.lexsort((i, j))  # column-major
-        ci, cj, cv = i[order], j[order], v[order]
+        order = np.argsort(rj, kind="stable")  # CSR holds each column's entries in row order
         self.csc_indptr = np.zeros(cols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cj, minlength=cols), out=self.csc_indptr[1:])
-        self.csc_indices = ci
-        self.csc_data = cv
+        np.cumsum(np.bincount(rj, minlength=cols), out=self.csc_indptr[1:])
+        self.csc_indices = ri[order]
+        self.csc_data = rv[order]
 
     @property
     def shape(self):
@@ -185,18 +208,10 @@ class DualSparseMatrix:
         return out
 
     def row_pair_dot(self, i1, i2):
-        scratch = np.zeros(self.cols)
-        idx1, val1 = self.row(i1)
-        scratch[idx1] = val1
-        idx2, val2 = self.row(i2)
-        return float(val2 @ scratch[idx2])
+        return _pair_dot(self.cols, *self.row(i1), *self.row(i2))
 
     def col_pair_dot(self, j1, j2):
-        scratch = np.zeros(self.rows)
-        idx1, val1 = self.col(j1)
-        scratch[idx1] = val1
-        idx2, val2 = self.col(j2)
-        return float(val2 @ scratch[idx2])
+        return _pair_dot(self.rows, *self.col(j1), *self.col(j2))
 
     def row_dots(self, idx, x):
         return np.array([val @ x[cols] for cols, val in map(self.row, idx)])
@@ -209,32 +224,16 @@ class DualSparseMatrix:
         x[idx] += c * val
 
     def row_combination(self, idx, coeffs):
-        out = np.zeros(self.cols)
-        for i, c in zip(idx, coeffs):
-            cols, val = self.row(i)
-            out[cols] += c * val
-        return out
+        return _combination(self.cols, map(self.row, idx), coeffs)
 
     def col_combination(self, idx, coeffs):
-        out = np.zeros(self.rows)
-        for j, c in zip(idx, coeffs):
-            rows, val = self.col(j)
-            out[rows] += c * val
-        return out
+        return _combination(self.rows, map(self.col, idx), coeffs)
 
     def matvec(self, x):
-        return np.bincount(
-            self.csr_rowids,
-            weights=self.csr_data * x[self.csr_indices],
-            minlength=self.rows,
-        )
+        return _product(self.csr_rowids, self.csr_indices, self.csr_data, x, self.rows)
 
     def rmatvec(self, z):
-        return np.bincount(
-            self.csr_indices,
-            weights=self.csr_data * z[self.csr_rowids],
-            minlength=self.cols,
-        )
+        return _product(self.csr_indices, self.csr_rowids, self.csr_data, z, self.cols)
 
     def mat_row(self, i):
         """A @ (A^(i))^T, assembled from the columns in the row's support."""

@@ -439,17 +439,16 @@ def ray_pixel_lengths(side, theta, offset):
 def parallel_beam_matrix(image_side, n_angles, n_detectors):
     """Sparse ray-intersection matrix, one row per (angle, detector)."""
     spacing = image_side / n_detectors
-    ii, jj, vv = [], [], []
-    for a in range(n_angles):
-        theta = a * np.pi / n_angles
-        for det in range(n_detectors):
-            offset = (det - (n_detectors - 1) / 2.0) * spacing
-            pix, lens = ray_pixel_lengths(image_side, theta, offset)
-            row = a * n_detectors + det
-            ii.extend([row] * pix.size)
-            jj.extend(pix.tolist())
-            vv.extend(lens.tolist())
-    return DualSparseMatrix(n_angles * n_detectors, image_side**2, ii, jj, vv)
+    offsets = [(det - (n_detectors - 1) / 2.0) * spacing for det in range(n_detectors)]
+    rays = [
+        ray_pixel_lengths(image_side, a * np.pi / n_angles, offset)
+        for a in range(n_angles)
+        for offset in offsets
+    ]
+    pix = np.concatenate([np.empty(0, dtype=np.int64)] + [p for p, _ in rays])  # even with no rays
+    lens = np.concatenate([np.empty(0)] + [lengths for _, lengths in rays])
+    rows = np.repeat(np.arange(len(rays)), [p.size for p, _ in rays])
+    return DualSparseMatrix(n_angles * n_detectors, image_side**2, rows, pix, lens)
 
 
 def gen_parallel_beam(image_side, n_angles, n_detectors, seed):
