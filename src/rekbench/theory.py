@@ -29,6 +29,7 @@ from .solvers import (
     build_caches,
     step,
 )
+from .updates import PARALLEL_TOL
 
 PAIRWISE_CAP = 4000
 _BLOCK = 256
@@ -141,8 +142,8 @@ def compute_constants(A, sample=None):
         lambda_max=lam_max,
         D=_coherence_combination(delta, Delta),
         D_t=_coherence_combination(delta_t, Delta_t),
-        rows_have_parallel_pair=bool(Delta >= 1.0 - 1e-12),
-        cols_have_parallel_pair=bool(Delta_t >= 1.0 - 1e-12),
+        rows_have_parallel_pair=bool(1.0 - Delta * Delta <= PARALLEL_TOL),
+        cols_have_parallel_pair=bool(1.0 - Delta_t * Delta_t <= PARALLEL_TOL),
         approximate=sample is not None,
     )
 

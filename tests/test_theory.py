@@ -10,6 +10,7 @@ from rekbench.theory import (
     empirical_contraction,
     rates_all,
 )
+from rekbench.updates import pair_geometry_from
 
 
 def constants_for(values):
@@ -56,6 +57,16 @@ def test_constants_parallel_pair_flagged():
     _, _, c = constants_for([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
     assert c.Delta == pytest.approx(1.0)
     assert c.rows_have_parallel_pair
+
+
+@pytest.mark.parametrize("sin_sq", [0.5e-12, 1.5e-12, 3e-12])
+def test_parallel_flag_agrees_with_the_pair_kernel(sin_sq):
+    # At sin^2 = 1.5e-12, Delta >= 1 - 1e-12 but 1 - Delta^2 > PARALLEL_TOL.
+    A, cache, c = constants_for([[1.0, 0.0], [np.sqrt(1 - sin_sq), np.sqrt(sin_sq)], [0.0, 1.0]])
+    geo = pair_geometry_from(A.row_pair_dot(0, 1), cache.row_sq_norms[0], cache.row_sq_norms[1])
+    assert geo.parallel == (sin_sq < 1e-12)
+    assert c.rows_have_parallel_pair == geo.parallel
+    assert not c.cols_have_parallel_pair
 
 
 def test_constants_strict_bound_without_parallel_rows():
