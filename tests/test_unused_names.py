@@ -9,6 +9,10 @@ when it is read as an attribute, so a local variable of the same name does
 not hide it.  A string constant that is a whole dotted or module:function
 path, such as the tracer's "SolverState.refresh" or the entry point
 "rekbench.cli:entry", counts for each of its parts.
+
+A private name (one leading underscore) that a module of src/rekbench
+binds at module or class level, by def, class or assignment, must be read
+in that module, as a name, an attribute or such a string.
 """
 
 import ast
@@ -69,6 +73,27 @@ def unused_public_names(modules, sources):
     )
 
 
+def private_definitions(source):
+    """Each _name that source binds by def, class or assignment at module or class level."""
+    tree = ast.parse(source)
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    for node in tree.body + [item for cls in classes for item in cls.body]:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def unread_private_names(source):
+    """The private definitions of source that source never reads."""
+    names, attributes = uses(source)
+    return sorted(set(private_definitions(source)) - names - attributes)
+
+
 def script_entries():
     """The targets of pyproject.toml's [project.scripts], such as 'rekbench.cli:entry'."""
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
@@ -87,6 +112,28 @@ def test_checker_finds_unused_names():
     )
     user = "from m import used, Box\nunread = 1\nprint(unread)\nBox().read()\nSPAN = 'Box.named'\n"
     assert unused_public_names({"m": module}, [module, user]) == ["m.Box.unread", "m.unused"]
+
+
+def test_checker_finds_unread_private_names():
+    module = (
+        "_LIMIT, _UNREAD = 3, 4\n_TABLE: dict = {}\n\n"
+        "def _helper():\n    return _LIMIT\n\n"
+        "def _orphan():\n    pass\n\n"
+        "class Box:\n"
+        "    _size = 2\n"
+        "    def __init__(self):\n        self._fill(self._size)\n"
+        "    def _fill(self, n):\n        return _helper()\n"
+        "    def _spare(self):\n        pass\n"
+    )
+    assert unread_private_names(module) == ["_TABLE", "_UNREAD", "_orphan", "_spare"]
+
+
+def test_every_private_name_is_read_in_its_module():
+    unread = {
+        path.stem: unread_private_names(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {module: names for module, names in unread.items() if names} == {}
 
 
 def test_every_public_name_is_used():
