@@ -1,0 +1,76 @@
+"""The ground truth of generated problems: b pinned, x_star the least-squares solution.
+
+A change to how a generator obtains x_star must leave b unchanged, so every
+trajectory and benchmark input stays the same.  b is pinned by the sha256
+of its float64 bytes; x_star must agree with the dense oracle
+direct_least_squares(A, b) and satisfy the normal equations to working
+precision, and r must be stored as b - A x_star.  Where A is wide, rank
+deficient or ill-conditioned, x_star must be the oracle's, bit for bit.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from rekbench.linalg import DenseMatrix, build_norm_cache, direct_least_squares
+from rekbench.problems import gen_gaussian, gen_parallel_beam, make_inconsistent_problem
+
+
+def _inconsistent(m, n, seed):
+    return lambda: make_inconsistent_problem(gen_gaussian(m, n, seed), seed)
+
+
+def _tomo(side, angles, detectors, seed):
+    return lambda: gen_parallel_beam(side, angles, detectors, seed)
+
+
+def _repeated_column():
+    values = gen_gaussian(40, 10, 7).values
+    values[:, 9] = values[:, 0]
+    return make_inconsistent_problem(DenseMatrix(values), 7)
+
+
+def _ill_conditioned():
+    # U diag(sigma) V^T with orthonormal U, V and condition number 1e6.
+    g = np.random.Generator(np.random.Philox(11))
+    u, _ = np.linalg.qr(g.standard_normal((60, 15)))
+    v, _ = np.linalg.qr(g.standard_normal((15, 15)))
+    return make_inconsistent_problem(DenseMatrix(u * np.logspace(0, -6, 15) @ v.T), 11)
+
+
+# name: (generator, first 16 hex digits of the sha256 of b's bytes)
+PLANTED = {
+    "gaussian-40x10-seed1": (_inconsistent(40, 10, 1), "54a3defef1b34996"),
+    "gaussian-60x15-seed1": (_inconsistent(60, 15, 1), "798f6bdbf044beb1"),
+    "gaussian-40x20-seed42": (_inconsistent(40, 20, 42), "39d140238af26267"),
+    "tomo-8-a12-d12-seed1": (_tomo(8, 12, 12, 1), "d70035b2da9cd3ce"),
+    "tomo-16-a24-d24-seed1": (_tomo(16, 24, 24, 1), "540aa9f5c982b3d8"),
+}
+
+ORACLE = {
+    "wide-15x40": _inconsistent(15, 40, 3),
+    "wide-tomo-8-a3-d8": _tomo(8, 3, 8, 1),
+    "repeated-column-40x10": _repeated_column,
+    "kappa-1e6-60x15": _ill_conditioned,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_b_is_unchanged_and_x_star_solves_least_squares(name):
+    make, b_sha = PLANTED[name]
+    p = make()
+    assert hashlib.sha256(p.b.tobytes()).hexdigest()[:16] == b_sha
+    x_norm = np.linalg.norm(p.x_star)
+    oracle = direct_least_squares(p.A, p.b)
+    assert np.linalg.norm(p.x_star - oracle) <= 1e-12 * x_norm
+    normal = np.linalg.norm(p.A.rmatvec(p.b - p.A.matvec(p.x_star)))
+    assert normal <= 1e-15 * build_norm_cache(p.A).frob_sq * x_norm
+    assert np.array_equal(p.r, p.b - p.A.matvec(p.x_star))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_x_star_is_the_oracle_where_a_planted_x_may_not_be(name):
+    p = ORACLE[name]()
+    assert np.array_equal(p.x_star, direct_least_squares(p.A, p.b))
+    assert np.array_equal(p.r, p.b - p.A.matvec(p.x_star))
