@@ -300,10 +300,14 @@ def direct_least_squares(A, b):
 
     Rank-revealing, so rank-deficient A returns the pseudoinverse solution.
     """
+    return _lstsq(A, b)[0]
+
+
+def _lstsq(A, b):
+    """(direct_least_squares(A, b), the numerical rank of A that its SVD found)."""
     _check_oracle_cap(A)
-    b = np.asarray(b, dtype=np.float64)
-    x, *_ = np.linalg.lstsq(A.to_dense(), b, rcond=None)
-    return x
+    x, _, rank, _ = np.linalg.lstsq(A.to_dense(), np.asarray(b, dtype=np.float64), rcond=None)
+    return x, rank
 
 
 def gram_extreme_eigenvalues(A):

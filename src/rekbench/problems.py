@@ -21,15 +21,17 @@ from itertools import chain, islice
 import numpy as np
 
 from . import rng as rngmod
-from .linalg import DenseMatrix, DualSparseMatrix, build_norm_cache, direct_least_squares
+from .linalg import DenseMatrix, DualSparseMatrix, _lstsq, build_norm_cache, direct_least_squares
+
+PLANTED_TOL = 16  # C of _planted's test ||A^T (b - A x)|| <= C eps ||A||_F^2 ||x||
 
 
 @dataclass
 class LsProblem:
     """A least-squares instance min ||b - Ax||, with optional ground truth.
 
-    x_star is the minimum-norm solution A^+ b; r is the component of b
-    orthogonal to the range of A, so b = A x_star + r when both are set.
+    x_star is the minimum-norm solution A^+ b, planted by a generator where _planted admits
+    it; r is the component of b orthogonal to range(A), so b = A x_star + r when both are set.
     """
 
     A: object
@@ -95,12 +97,24 @@ def gen_gaussian(m, n, seed):
 
 def project_off_range(A, v):
     """v - A A^+ v: the component of v orthogonal to range(A)."""
-    return v - A.matvec(direct_least_squares(A, v))
+    return _off_range(A, v)[0]
 
 
-def oracle_problem(A, b, label, meta):
-    """The LsProblem for A and b, with the oracle x_star = A^+ b and r = b - A x_star."""
-    x_star = direct_least_squares(A, b)
+def _off_range(A, v):
+    """(project_off_range(A, v), the numerical rank of A)."""
+    coef, rank = _lstsq(A, v)
+    return v - A.matvec(coef), rank
+
+
+def _planted(A, b, x, rank, frob_sq):
+    """x (b's planted solution) if A has full column rank and x solves A^T A x = A^T b, else None."""
+    tol = PLANTED_TOL * np.finfo(np.float64).eps * frob_sq * np.linalg.norm(x)
+    return x if rank == A.cols and np.linalg.norm(A.rmatvec(b - A.matvec(x))) <= tol else None
+
+
+def oracle_problem(A, b, label, meta, x_star=None):
+    """The LsProblem for A and b, with r = b - A x_star and, unless given, x_star = A^+ b."""
+    x_star = direct_least_squares(A, b) if x_star is None else x_star
     return LsProblem(A=A, b=b, x_star=x_star, r=b - A.matvec(x_star), label=label, meta=meta)
 
 
@@ -117,7 +131,7 @@ def make_consistent_problem(A, seed):
 
 
 def make_inconsistent_problem(A, seed, label=""):
-    """Build b = A x_star + r with r orthogonal to range(A).
+    """Build b = A x_raw + r with r orthogonal to range(A); x_star is x_raw if _planted admits it.
 
     r projects a Gaussian draw off range(A), with a second projection pass
     if the first leaves measurable overlap (ill-conditioned A).
@@ -125,17 +139,17 @@ def make_inconsistent_problem(A, seed, label=""):
     m, n = A.shape
     g = rngmod.stream(seed, rngmod.method_tag("make_inconsistent"))
     x_raw = g.standard_normal(n)
-    r = project_off_range(A, g.standard_normal(m))
-    cache = build_norm_cache(A)
-    frob = np.sqrt(cache.frob_sq)
+    r, rank = _off_range(A, g.standard_normal(m))
+    frob_sq = build_norm_cache(A).frob_sq
     r_norm = np.linalg.norm(r)
-    if r_norm > 0 and np.linalg.norm(A.rmatvec(r)) > 1e-10 * frob * r_norm:
+    if r_norm > 0 and np.linalg.norm(A.rmatvec(r)) > 1e-10 * np.sqrt(frob_sq) * r_norm:
         r = project_off_range(A, r)
     return oracle_problem(
         A,
-        A.matvec(x_raw) + r,
+        b := A.matvec(x_raw) + r,
         label or f"inconsistent-{m}x{n}-seed{seed}",
         {"seed": int(seed), "generator": "make_inconsistent_problem"},
+        _planted(A, b, x_raw, rank, frob_sq),
     )
 
 
@@ -452,16 +466,16 @@ def parallel_beam_matrix(image_side, n_angles, n_detectors):
 
 
 def gen_parallel_beam(image_side, n_angles, n_detectors, seed):
-    """Parallel-beam tomography problem over the Shepp-Logan phantom."""
+    """Parallel-beam tomography problem; x_star is the Shepp-Logan phantom if _planted admits it."""
     phantom = shepp_logan(image_side)
     if n_angles < 1 or n_detectors < 1:
         raise ValueError("n_angles and n_detectors must be at least 1")
     A = parallel_beam_matrix(image_side, n_angles, n_detectors)
     g = rngmod.stream(seed, rngmod.method_tag("gen_parallel_beam"))
-    r = project_off_range(A, project_off_range(A, g.standard_normal(A.rows)))
+    r, rank = _off_range(A, project_off_range(A, g.standard_normal(A.rows)))
     return oracle_problem(
         A,
-        A.matvec(phantom) + r,
+        b := A.matvec(phantom) + r,
         f"tomo-{image_side}x{image_side}-a{n_angles}-d{n_detectors}-seed{seed}",
         {
             "seed": int(seed),
@@ -470,6 +484,7 @@ def gen_parallel_beam(image_side, n_angles, n_detectors, seed):
             "n_angles": n_angles,
             "n_detectors": n_detectors,
         },
+        _planted(A, b, phantom, rank, build_norm_cache(A).frob_sq),
     )
 
 

@@ -5,7 +5,9 @@ unchanged.  Each case generates a bundle with `gen`, runs one command on
 it through cli.main and pins the exit code and the sha256 of stdout.  The
 expected values were recorded before the rates were rewritten as
 functions of the constants alone, so they pin every key, value and key
-order across it.
+order across it.  tall-verify and tomo-verify were recorded again when
+their generators began to store the x they built b from as x_star: the
+ratios measured against x_star moved by about 1e-15 relative.
 """
 
 import hashlib
@@ -33,10 +35,10 @@ GOLDEN = {
     ("wide", "constants"): (0, "a68f7709d78aa8fc"),
     ("consistent", "constants"): (0, "fe5af3b3fe0518f1"),
     ("tomo", "constants"): (0, "d46b9a7141ee629c"),
-    ("tall", "verify"): (0, "5ab03830b91a98c3"),
+    ("tall", "verify"): (0, "b0265e813078c0ad"),
     ("wide", "verify"): (0, "8cfefeed7da76936"),
     ("consistent", "verify"): (0, "6efd337a326f9e91"),
-    ("tomo", "verify"): (0, "3437b76e1f2ceed8"),
+    ("tomo", "verify"): (0, "2ac3a5c24ba9b004"),
     ("tall", "sample"): (0, "38f361bdaf1e05b0"),
 }
 
