@@ -128,6 +128,11 @@ def _names(text):
     return text.split(",")
 
 
+def _print_json(payload, indent=None):
+    """Print payload as standard JSON: each non-finite float (NaN, Infinity) becomes null."""
+    print(json.dumps(json.loads(json.dumps(payload), parse_constant=lambda _: None), indent=indent))
+
+
 def _load(path):
     try:
         return load_problem(path)
@@ -150,7 +155,7 @@ def _cmd_gen(args):
         A = read_matrix_market(args.path)
         problem = make_inconsistent_problem(A, args.seed)
     save_problem(problem, args.out)
-    print(json.dumps({"out": args.out, "label": problem.label, "m": problem.A.rows, "n": problem.A.cols}))
+    _print_json({"out": args.out, "label": problem.label, "m": problem.A.rows, "n": problem.A.cols})
     return EXIT_OK
 
 
@@ -202,7 +207,7 @@ def _cmd_solve(args):
             writer.writerow(["step", "primary_residual", "dual_residual", "rse"])
             for row in record.history:
                 writer.writerow(row)
-    print(json.dumps(_result_row(record, problem, kind.value, args.seed)))
+    _print_json(_result_row(record, problem, kind.value, args.seed))
     if args.strict and not record.converged:
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -312,7 +317,7 @@ def _cmd_constants(args):
         raise ValueError("constants needs exactly one of --matrix / --problem")
     A = read_matrix_market(args.matrix) if args.matrix else _load(args.problem).A
     computed, payload = _constants_payload(A, sample=args.sample)
-    print(json.dumps(payload, indent=2))
+    _print_json(payload, indent=2)
     return EXIT_OK if computed else EXIT_IO
 
 
@@ -323,7 +328,7 @@ def _cmd_verify(args):
     computed, payload = _constants_payload(problem.A)
     report = {"problem": problem.label, **payload}
     if computed is None:
-        print(json.dumps(report, indent=2))
+        _print_json(report, indent=2)
         return EXIT_IO
     _, rates = computed
     checks = {}
@@ -352,7 +357,7 @@ def _cmd_verify(args):
                 checks[name]["vacuous"] = True
     report["checks"] = checks
     report["pass"] = all(c["pass"] or c.get("vacuous", False) for c in checks.values())
-    print(json.dumps(report, indent=2))
+    _print_json(report, indent=2)
     return EXIT_OK if report["pass"] else EXIT_NOT_CONVERGED
 
 

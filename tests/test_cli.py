@@ -370,14 +370,37 @@ def test_verify_vacuous_bounds_do_not_fail(capsys, tmp_path):
         capsys, "verify", "--problem", str(path), "--trials", "20", "--steps", "5"
     )
     assert code == 0
-    report = json.loads(out)
+    report = strict_json(out)
     assert report["pass"] is True
     for name, key in (("thm1_gproj", "mean_ratios"), ("thm3_sproj", "ratios")):
         check = report["checks"][name]
         assert check["vacuous"] is True
         assert check[key][0] < 1e-24
-        assert all(np.isnan(check[key][1:]))
+        assert all(ratio is None for ratio in check[key][1:])
     assert report["checks"]["thm1_gproj"]["pass"] is False
+
+
+def strict_json(text):
+    """json.loads refusing the NaN and Infinity tokens that standard JSON lacks."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("method, key", [("GPROJ", "primary_residual"), ("RK", "dual_residual")])
+def test_solve_prints_an_untracked_residual_as_null(capsys, tmp_path, method, key):
+    path = gen_bundle(capsys, tmp_path, m=3, n=3)
+    code, out, _ = run(capsys, "solve", "--method", method, "--problem", path)
+    assert code == 0
+    assert strict_json(out)[key] is None
+
+
+def test_constants_prints_an_infinite_prefactor_as_null(capsys, tmp_path):
+    write_matrix_market(linalg.DenseMatrix(np.zeros((2, 2))), tmp_path / "A.mtx")
+    code, out, _ = run(capsys, "constants", "--matrix", str(tmp_path / "A.mtx"))
+    assert code == 0
+    assert strict_json(out)["rates"]["thm2_prefactor"] is None
 
 
 def test_constants_output(capsys, tmp_path):
