@@ -107,7 +107,7 @@ def _off_range(A, v):
 
 
 def _planted(A, b, x, rank, frob_sq):
-    """x (b's planted solution) if A has full column rank and x solves A^T A x = A^T b, else None."""
+    """x if A has full column rank and x solves the normal equations to PLANTED_TOL, else None."""
     tol = PLANTED_TOL * np.finfo(np.float64).eps * frob_sq * np.linalg.norm(x)
     return x if rank == A.cols and np.linalg.norm(A.rmatvec(b - A.matvec(x))) <= tol else None
 
