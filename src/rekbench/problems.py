@@ -30,8 +30,8 @@ PLANTED_TOL = 16  # C of _planted's test ||A^T (b - A x)|| <= C eps ||A||_F^2 ||
 class LsProblem:
     """A least-squares instance min ||b - Ax||, with optional ground truth.
 
-    x_star is the minimum-norm solution A^+ b, planted by a generator where _planted admits
-    it; r is the component of b orthogonal to range(A), so b = A x_star + r when both are set.
+    x_star is A^+ b (a generator's planted x where _planted admits it, else the oracle's);
+    r is the component of b orthogonal to range(A), so b = A x_star + r when both are set.
     """
 
     A: object
