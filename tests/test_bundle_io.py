@@ -240,6 +240,28 @@ def test_non_ascii_byte_exits_2_with_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 4: non-ASCII byte 0xe9\n"
 
 
+LONG = "1." + "0" * 98 + "\n"  # a valid value of 100 bytes
+
+
+@pytest.mark.parametrize(
+    "head, lines",
+    [
+        ("array real general\n6 1\n", ["oops\n"] + [LONG] * 5),
+        ("coordinate real general\n6 1 6\n", ["1 x 1.0\n"] + [f"{k} 1 {LONG}" for k in range(2, 7)]),
+        ("array real general\n2 x\n", [LONG] * 6),
+    ],
+    ids=["array-value", "coordinate-entry", "size-line"],
+)
+def test_non_ascii_byte_in_a_later_read_outranks_an_earlier_error(tmp_path, small_block, head, lines):
+    # The parse stops at line 3 (line 2 for the size line) before its reads
+    # reach line 9, so only the rescan of the whole file meets the byte.
+    path = tmp_path / "m.mtx"
+    path.write_bytes(("%%MatrixMarket matrix " + head + "".join(lines)).encode() + b"\xe9\n")
+    with pytest.raises(MatrixMarketError) as exc:
+        read_matrix_market(path)
+    assert str(exc.value) == "line 9: non-ASCII byte 0xe9"
+
+
 # A 4 x 4 coordinate file of 8 entries on lines 3-10, all on or below the
 # diagonal, so BLOCK = 3 puts lines 9 and 10 in the third block.
 COORD = "%%MatrixMarket matrix coordinate real general\n4 4 8\n"
