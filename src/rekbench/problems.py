@@ -14,7 +14,6 @@ import io
 import json
 import math
 import os
-from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -174,13 +173,16 @@ def read_matrix_market(path):
 
     Coordinate files become DualSparseMatrix, array files DenseMatrix.
     Symmetric storage is expanded to full; indices convert to 0-based.
-    A read parses IO_BLOCK lines at a time, so its peak follows the matrix, not the text.
+    A read parses IO_BLOCK lines at a time into buffers of exactly the size
+    line's count, so its peak follows the matrix, not the text.  Every data or
+    count error is named by one walk from the size line down, which raises the
+    first in file order; a size line too large to store is refused on its line.
     """
     with open(path, "rb") as fh:
         # An error is named by reading again from the top, so a pipe is read whole.
         src = fh if fh.seekable() else io.BytesIO(fh.read())
         try:
-            return _parse_matrix_market(src, os.fstat(fh.fileno()).st_size)
+            return _parse_matrix_market(src)
         except MatrixMarketError:
             src.seek(0)
             for _ in _line_blocks(src):  # a non-ASCII byte anywhere outranks a parse error
@@ -206,8 +208,11 @@ def _line_blocks(fh):
     yield tail.splitlines(keepends=True)
 
 
-def _parse_matrix_market(src, file_bytes):
-    """The matrix in the seekable binary file src, which holds file_bytes bytes (0: unknown)."""
+def _parse_matrix_market(src):
+    """The matrix in the seekable binary file src."""
+    file_bytes = src.seek(0, io.SEEK_END)
+    src.seek(0)
+
     def _number(convert, word):
         """convert(word), refusing the digit-group underscores that int and float accept."""
         return convert(word if "_" not in word else "_")
@@ -217,37 +222,54 @@ def _parse_matrix_market(src, file_bytes):
         words = line.split()
         return [] if words and words[0].startswith("%") else words
 
-    def _value(word, ln):
-        try:
-            v = _number(float, word)
-        except ValueError:
-            raise MatrixMarketError(f"malformed value {word!r}", ln) from None
-        if not math.isfinite(v):
-            raise MatrixMarketError(f"non-finite value {word!r}", ln)
-
-    def _walk_coordinate():
-        """Check the entries one by one from the top of the file; raise the first error."""
-        seen, ln = set(), size_line_no
+    def _walk():
+        """Check the data from the size line down; raise its first error, else the count error."""
+        seen, found, ln = set(), 0, size_line_no
         src.seek(0)
         data = islice(chain.from_iterable(_line_blocks(src)), size_line_no, None)
         for ln, words in enumerate(map(_words, data), size_line_no + 1):
-            if not words:
-                continue
-            if len(words) != 3:
-                raise MatrixMarketError("coordinate entry needs 'i j value'", ln)
-            try:
-                i, j = _number(int, words[0]), _number(int, words[1])
-            except ValueError:
-                raise MatrixMarketError("malformed coordinate entry", ln) from None
-            _value(words[2], ln)
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise MatrixMarketError(f"index ({i}, {j}) out of range for {m}x{n}", ln)
-            if symmetric and j > i:
-                raise MatrixMarketError("symmetric entry above the diagonal", ln)
-            if (i, j) in seen:
-                raise MatrixMarketError(f"duplicate entry ({i}, {j})", ln)
-            seen.add((i, j))
-        raise MatrixMarketError(f"expected {nnz} entries, found {len(seen)}", ln)
+            if coordinate and words:
+                if len(words) != 3:
+                    raise MatrixMarketError("coordinate entry needs 'i j value'", ln)
+                try:
+                    i, j = _number(int, words[0]), _number(int, words[1])
+                except ValueError:
+                    raise MatrixMarketError("malformed coordinate entry", ln) from None
+            for word in words[2:] if coordinate else words:
+                try:
+                    value = _number(float, word)
+                except ValueError:
+                    raise MatrixMarketError(f"malformed value {word!r}", ln) from None
+                if not math.isfinite(value):
+                    raise MatrixMarketError(f"non-finite value {word!r}", ln)
+                found += 1
+            if coordinate and words:
+                if not (1 <= i <= m and 1 <= j <= n):
+                    raise MatrixMarketError(f"index ({i}, {j}) out of range for {m}x{n}", ln)
+                if symmetric and j > i:
+                    raise MatrixMarketError("symmetric entry above the diagonal", ln)
+                if (i, j) in seen:
+                    raise MatrixMarketError(f"duplicate entry ({i}, {j})", ln)
+                seen.add((i, j))
+        unit = "entries" if coordinate else "values"
+        raise MatrixMarketError(f"expected {expected} {unit}, found {found}", ln)
+
+    def _fill(block, found):
+        """Parse a block into the buffers from index found on; return the count after it."""
+        text = "".join(block)
+        if "%" in text:
+            text = "\n".join(t for t in map(str.strip, block) if not t.startswith("%"))
+        # A coordinate block's entries, each split into its words; an array block's values.
+        rows = list(filter(None, map(str.split, text.splitlines()))) if coordinate else text.split()
+        k = found + len(rows)
+        if "_" in text or k > expected or coordinate and set(map(len, rows)) - {3}:
+            _walk()
+        try:
+            for buf, convert, words in zip(bufs, converts, zip(*rows) if coordinate else [rows]):
+                buf[found:k] = list(map(convert, words))
+        except (ValueError, OverflowError):
+            _walk()
+        return k
 
     lines = chain.from_iterable(_line_blocks(src))
     header = next(lines, None)
@@ -280,72 +302,48 @@ def _parse_matrix_market(src, file_bytes):
         raise MatrixMarketError("non-integer size line", size_line_no) from None
     m, n = size[:2]
     nnz = size[2] if coordinate else 0
+    size_text = f"size {' '.join(map(str, size))}"
     if m < 1 or n < 1 or nnz < 0:
         need = "rows, cols >= 1" + (" and nnz >= 0" if coordinate else "")
-        raise MatrixMarketError(f"size {' '.join(map(str, size))}: need {need}", size_line_no)
+        raise MatrixMarketError(f"{size_text}: need {need}", size_line_no)
     symmetric = sym == "symmetric"
     if symmetric and m != n:
         raise MatrixMarketError("symmetric matrix must be square", size_line_no)
     expected = nnz if coordinate else m * n if not symmetric else m * (m + 1) // 2
-    # A value takes two bytes at least: a file's size caps the buffers, a pipe's 0 does not.
-    capacity = min(expected, (file_bytes or 2 * expected) // 2 + 1)
-    # Array values come column by column, so a general array's go in through out.T.flat.
-    dense = not coordinate and capacity == expected
-    out = np.empty((m, n) if dense else 0)
-    vals = out.T.flat if dense and not symmetric else np.empty(capacity)
-    ii, jj = (np.empty(capacity if coordinate else 0, np.int64) for _ in range(2))
-    found, ln = 0, size_line_no
-    for block in iter(lambda: list(islice(lines, IO_BLOCK)), []):
-        first, ln = ln + 1, ln + len(block)
-        text = "".join(block)
-        if "%" in text:
-            text = "\n".join(t for t in map(str.strip, block) if not t.startswith("%"))
-        if coordinate:
-            # Triples are checked after the read; any failure walks the file.
-            rows = list(filter(None, map(str.split, text.splitlines())))
-            k = found + len(rows)
-            if "_" in text or k > capacity or set(map(len, rows)) - {3}:
-                _walk_coordinate()
-            try:
-                for dest, convert, words in zip((ii, jj, vals), (int, int, float), zip(*rows)):
-                    dest[found:k] = list(map(convert, words))
-            except (ValueError, OverflowError):
-                _walk_coordinate()
-            found = k
-            continue
-        # One float pass per block; values past the buffer are only counted.  A
-        # block that fails is walked value by value: it holds the first bad value.
-        got = None
-        with suppress(ValueError):  # a malformed value
-            got = None if "_" in text else np.array(list(map(float, text.split())))
-        if got is None or not np.isfinite(got).all():
-            for line_no, words in enumerate(map(_words, block), first):
-                for word in words:
-                    _value(word, line_no)
-        vals[found : found + got.size] = got[: max(capacity - found, 0)]
-        found += got.size
+    if expected > file_bytes // 2 + 1:  # a value takes two bytes at least
+        _walk()
     if coordinate:
-        i, j, v = ii[:found], jj[:found], vals[:found]
-        i -= 1
-        j -= 1
-        if found == nnz and not (symmetric and (j > i).any()):
+        bufs = [np.empty(nnz, np.int64), np.empty(nnz, np.int64), np.empty(nnz)]
+    else:
+        out = np.empty((m, n))
+        # Array values come column by column, so a general array's go in through out.T.flat.
+        bufs = [out.T.flat if not symmetric else np.empty(expected)]
+    converts = (int, int, float) if coordinate else (float,)
+    found = 0
+    for block in iter(lambda: list(islice(lines, IO_BLOCK)), []):
+        found = _fill(block, found)  # which frees the block's text and words before the next read
+    if found != expected or coordinate and symmetric and (bufs[1] > bufs[0]).any():
+        _walk()
+    try:
+        if coordinate:
+            i, j, v = bufs
+            i -= 1
+            j -= 1
             if symmetric:
                 off = i != j
                 i, j, v = np.r_[i, j[off]], np.r_[j, i[off]], np.r_[v, v[off]]
-            with suppress(ValueError):  # an index out of range, a non-finite value or a duplicate
-                return DualSparseMatrix(m, n, i, j, v)
-        _walk_coordinate()
-    if found != expected:
-        raise MatrixMarketError(f"expected {expected} values, found {found}", ln)
-    if not symmetric:
+            return DualSparseMatrix(m, n, i, j, v)
+        if symmetric:
+            pos = 0
+            for j in range(n):
+                out[j:, j] = out[j, j:] = bufs[0][pos : pos + (m - j)]
+                pos += m - j
         return DenseMatrix(out)
-    pos = 0
-    for j in range(n):
-        col = vals[pos : pos + (m - j)]
-        pos += m - j
-        out[j:, j] = col
-        out[j, j:] = col
-    return DenseMatrix(out)
+    except MemoryError:
+        raise MatrixMarketError(f"{size_text}: too large to store", size_line_no) from None
+    except ValueError:  # a non-finite value, an index out of range or a duplicate
+        pass  # walked once the handler has dropped the traceback and the frames it holds
+    _walk()
 
 
 def write_matrix_market(A, path):

@@ -411,11 +411,16 @@ def test_size_line_beyond_the_file_is_a_count_error(tmp_path, small_block, text,
         (COORD + "".join(ENTRIES[:-1]) + "4 x 1.0\n", "line 10: malformed coordinate entry"),
         (COORD + "".join(ENTRIES[:-1]) + "2 1 1.0\n", "line 10: duplicate entry (2, 1)"),
         (ARRAY + "".join(VALUES[:-1]) + "oops\n", "line 10: malformed value 'oops'"),
+        (
+            ARRAY.replace("2 4", "100000 100000") + "1\n2\n",
+            "line 4: expected 10000000000 values, found 2",
+        ),
     ],
-    ids=["valid", "malformed", "duplicate", "array"],
+    ids=["valid", "malformed", "duplicate", "array", "beyond"],
 )
 def test_a_pipe_reads_as_its_file(tmp_path, small_block, text, error):
     # A pipe cannot be read twice, and an error is named by a second pass.
+    # Its size is that of what it held, so a size line beyond it is a count error.
     fifo = tmp_path / "pipe.mtx"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)

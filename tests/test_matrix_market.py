@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from rekbench.cli import main
 from rekbench.linalg import DenseMatrix, DualSparseMatrix
 from rekbench.problems import (
     MatrixMarketError,
@@ -113,6 +114,13 @@ def test_size_line_out_of_range(tmp_path, text, line_no):
     with pytest.raises(MatrixMarketError) as exc:
         read_matrix_market(write(tmp_path, text))
     assert exc.value.line_no == line_no
+
+
+def test_size_too_large_to_store_exits_2(tmp_path, capsys):
+    # 10**12 rows of CSR row pointers cannot be allocated; the refusal is immediate.
+    path = write(tmp_path, COORD + "1000000000000 1 0\n")
+    assert main(["constants", "--matrix", str(path)]) == 2
+    assert capsys.readouterr().err == "error: line 2: size 1000000000000 1 0: too large to store\n"
 
 
 @pytest.mark.parametrize(
