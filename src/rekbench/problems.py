@@ -129,7 +129,7 @@ def make_consistent_problem(A, seed):
     )
 
 
-def make_inconsistent_problem(A, seed, label=""):
+def make_inconsistent_problem(A, seed):
     """Build b = A x_raw + r with r orthogonal to range(A); x_star is x_raw if _planted admits it.
 
     r projects a Gaussian draw off range(A), with a second projection pass
@@ -146,7 +146,7 @@ def make_inconsistent_problem(A, seed, label=""):
     return oracle_problem(
         A,
         b := A.matvec(x_raw) + r,
-        label or f"inconsistent-{m}x{n}-seed{seed}",
+        f"inconsistent-{m}x{n}-seed{seed}",
         {"seed": int(seed), "generator": "make_inconsistent_problem"},
         _planted(A, b, x_raw, rank, frob_sq),
     )

@@ -216,10 +216,10 @@ def test_dense_solves_per_generator(monkeypatch, make, solves):
 
 
 def test_bundle_round_trip(tmp_path):
-    p = make_inconsistent_problem(gen_gaussian(12, 5, 2), 2, label="demo")
+    p = make_inconsistent_problem(gen_gaussian(12, 5, 2), 2)
     save_problem(p, tmp_path / "bundle")
     q = load_problem(tmp_path / "bundle")
-    assert q.label == "demo"
+    assert q.label == "inconsistent-12x5-seed2"
     assert np.array_equal(q.b, p.b)
     assert np.array_equal(q.x_star, p.x_star)
     assert np.array_equal(q.r, p.r)
