@@ -321,7 +321,7 @@ def _parse_matrix_market(src):
     converts = (int, int, float) if coordinate else (float,)
     found = 0
     for block in iter(lambda: list(islice(lines, IO_BLOCK)), []):
-        found = _fill(block, found)  # which frees the block's text and words before the next read
+        found = _fill(block, found)  # a call per block frees its text and words before the next read
     if found != expected or coordinate and symmetric and (bufs[1] > bufs[0]).any():
         _walk()
     try:

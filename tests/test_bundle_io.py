@@ -397,7 +397,7 @@ def test_line_breaks_across_reads(tmp_path, small_block, text, brk):
     ids=["array", "coordinate"],
 )
 def test_size_line_beyond_the_file_is_a_count_error(tmp_path, small_block, text, message):
-    # The buffers are sized by what the file can hold, not by the size line.
+    # A file too short for its size line is walked before any buffer is allocated.
     last = text.count("\n")
     error = read_error(tmp_path, text)
     assert (error.line_no, str(error)) == (last, f"line {last}: {message}")
