@@ -323,6 +323,8 @@ def _upkeep_matrix(shape):
         return DenseMatrix(g.standard_normal((40, 12)))
     if shape == "wide":
         return DenseMatrix(g.standard_normal((12, 40)))
+    if shape == "square":
+        return DenseMatrix(g.standard_normal((20, 20)))
     vals = np.where(g.random((40, 20)) < 0.3, g.standard_normal((40, 20)), 0.0)
     i, j = np.nonzero(vals)
     return DualSparseMatrix(40, 20, i, j, vals[i, j])
@@ -335,10 +337,13 @@ def _keeps(kind, shape):
     """(keeps r, keeps g) on an _upkeep_matrix shape: a whole-axis rule, or a Gram axis."""
     method = METHODS[kind]
     whole = method.rule in WHOLE_AXIS_RULES
-    return method.rows and (whole or shape == "wide"), method.cols and (whole or shape == "tall")
+    return (
+        method.rows and (whole or shape == "wide"),
+        method.cols and (whole or shape in ("tall", "square")),
+    )
 
 
-@pytest.mark.parametrize("shape", ["tall", "wide", "sparse"])
+@pytest.mark.parametrize("shape", ["tall", "wide", "square", "sparse"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_maintained_residuals_match_fresh(kind, shape):
     A = _upkeep_matrix(shape)
@@ -359,14 +364,15 @@ def test_maintained_residuals_match_fresh(kind, shape):
         assert np.linalg.norm(state.g - A.rmatvec(state.z)) <= bound
 
 
-@pytest.mark.parametrize("shape", ["tall", "wide", "sparse"])
+@pytest.mark.parametrize("shape", ["tall", "wide", "square", "sparse"])
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_gram_only_for_a_maintained_short_axis(kind, shape):
     A = _upkeep_matrix(shape)
     caches = build_caches(A, kind)
     keeps_r = kind not in PROJECTION_KINDS
     keeps_g = kind not in CONSISTENT_KINDS
-    if shape == "tall":
+    # A square A ties, and the tie goes to the columns.
+    if shape in ("tall", "square"):
         assert caches.rows.gram is None
         assert (caches.cols.gram is not None) == keeps_g
         if keeps_g:
@@ -587,6 +593,9 @@ def test_greedy_pair_law():
     draws = 20_000
     counts = _pair_counts(SolverKind.TGRK, problem, "row", draws, seed=32)
     assert _pair_chi_square(counts, weights, draws) <= 15.09  # 99%, 5 degrees of freedom
+    # On A = I, z0 = b gives g0 = b: the same scores and index set on the columns.
+    counts = _pair_counts(SolverKind.TGREK, problem, "column", draws, seed=32)
+    assert _pair_chi_square(counts, weights, draws) <= 15.09
 
 
 @pytest.mark.parametrize("axis", ["row", "column"])
