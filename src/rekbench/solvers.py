@@ -1,9 +1,12 @@
 """The iterative methods as uniform step functions over SolverState.
 
-One step is one combined (z-update, x-update) pair.  Both the selection
-scores and the update right-hand sides are taken from the state at the
-start of the step (the column update uses the pre-step z, and the row
-update right-hand side b_i - z_i uses the pre-step z as well).
+One step takes each axis the kind steps on in turn, rows first, each an
+AxisCache that build_caches plans once per run: it selects one or two
+lines, then steps x against r = b - z - Ax (rows) or z against g = A^T z
+(columns).  A row step writes only x and r, which no column selection
+reads, and no step draws from the generator; so both axes pick from the
+state at the start of the step, and the row step's b_i - z_i uses the
+pre-step z.
 
 A kind keeps the shifted residual r = b - z - Ax of its row axis, or the
 dual residual g = A^T z of its column axis, up to date only where it pays:
@@ -29,7 +32,6 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -80,10 +82,6 @@ class Method:
     pair: bool
     rows: bool  # steps x against r = b - z - Ax (or b - Ax without z)
     cols: bool  # steps z against g = A^T z
-
-    @cached_property
-    def axes(self):
-        return ("row",) * self.rows + ("column",) * self.cols
 
 
 K = SolverKind
@@ -139,15 +137,24 @@ class StopConfig:
 
 
 class AxisCache:
-    """What selection and steps read along one axis (rows or columns) of A, for one kind."""
+    """One axis (rows or columns) of A: how one kind selects and steps on it, planned once per run."""
 
-    def __init__(self, sq_norms, steps, whole_axis, gram):
-        self.sq_norms = sq_norms
-        self.gram = gram  # A A^T for rows, A^T A for columns: updates the residual
+    def __init__(self, A, row, method, norms):
+        self.row = row
+        self.rule, self.pair = method.rule, method.pair
+        steps = method.rows if row else method.cols
+        self.sq_norms = sq_norms = norms.row_sq_norms if row else norms.col_sq_norms
+        # A A^T for rows, A^T A for columns, where the kind steps on the
+        # shorter axis of a dense A (the columns when m = n): it updates the
+        # residual at O(min(m, n)) per step, for at most one more copy of A.
+        self.gram = None
+        if steps and not A.is_sparse and (A.rows < A.cols if row else A.cols <= A.rows):
+            values = A.values
+            self.gram = values @ values.T if row else values.T @ values
         # Whether the kind keeps this axis's residual (r or g) up to date: it
         # steps on the axis, and its rule reads the whole residual or gram
         # updates it.  Otherwise a step forms only the entries it reads.
-        self.kept = steps and (whole_axis or gram is not None)
+        self.kept = steps and (self.rule in _WHOLE_AXIS_RULES or self.gram is not None)
         self.positive = sq_norms > 0
         self.nonzero = np.flatnonzero(self.positive)
         # The norm rule's draw over nonzero, built once.
@@ -155,6 +162,14 @@ class AxisCache:
         # Buffers the greedy and argmax rules score into, step after step.
         self.residual_sq = np.empty_like(sq_norms)
         self.scores = np.zeros_like(sq_norms)
+        # The line kernels: entries of Ax or A^T z, one pair's inner product,
+        # a combination of lines, and the product that updates the residual.
+        if row:
+            self.dots, self.pair_dot = A.row_dots, A.row_pair_dot
+            self.combination, self.product = A.row_combination, A.matvec
+        else:
+            self.dots, self.pair_dot = A.col_dots, A.col_pair_dot
+            self.combination, self.product = A.col_combination, A.rmatvec
 
 
 @dataclass
@@ -162,30 +177,15 @@ class ProblemCaches:
     norms: object
     rows: AxisCache
     cols: AxisCache
+    axes: tuple  # the axes the kind steps on, rows first
 
 
 def build_caches(A, kind) -> ProblemCaches:
-    """Norms of A and, once per run, which residuals kind keeps and how.
-
-    For a dense A, the Gram matrix of its shorter axis is built when kind
-    steps on that axis, which then keeps its residual (r for rows, g for
-    columns) at O(min(m, n)) per step; it costs at most one more copy of
-    A.  The longer axis has none.
-    """
+    """Norms of A and, once per run, the plan of each axis for kind."""
     method = METHODS[SolverKind(kind)]
     norms = build_norm_cache(A)
-    row_gram = col_gram = None
-    if not A.is_sparse:
-        values = A.values
-        if A.cols <= A.rows:
-            if method.cols:
-                col_gram = values.T @ values
-        elif method.rows:
-            row_gram = values @ values.T
-    whole = method.rule in _WHOLE_AXIS_RULES
-    rows = AxisCache(norms.row_sq_norms, method.rows, whole, row_gram)
-    cols = AxisCache(norms.col_sq_norms, method.cols, whole, col_gram)
-    return ProblemCaches(norms, rows, cols)
+    rows, cols = AxisCache(A, True, method, norms), AxisCache(A, False, method, norms)
+    return ProblemCaches(norms, rows, cols, (rows,) * method.rows + (cols,) * method.cols)
 
 
 @dataclass
@@ -252,33 +252,31 @@ def rse(x, x_star):
 # Selection (row and column halves share the same shapes)
 
 
-def _entries(row, kept, state, problem, idx):
+def _entries(ax, state, problem, idx):
     """Entries idx (an index array) of r for a row axis, of g = A^T z for a column axis.
 
     A kept residual is read; otherwise r_i = b_i - z_i - a_i x (b_i - a_i x
     without z) and g_j = a_j^T z are formed from the current x and z.
     """
-    if kept:
-        return (state.r if row else state.g)[idx]
-    if row:
+    if ax.kept:
+        return (state.r if ax.row else state.g)[idx]
+    if ax.row:
         b = problem.b[idx]
-        return (b if state.z is None else b - state.z[idx]) - problem.A.row_dots(idx, state.x)
-    return problem.A.col_dots(idx, state.z)
+        return (b if state.z is None else b - state.z[idx]) - ax.dots(idx, state.x)
+    return ax.dots(idx, state.z)
 
 
-def _select(method, axis, state, problem, caches, config):
-    """Chosen (first, second-or-None) indices along one axis, or None to skip.
+def _select(ax, state, problem, caches, config):
+    """Chosen (first, second-or-None) indices along the axis ax, or None to skip.
 
-    axis 'row' scores r against row norms; axis 'column' scores g = A^T z
+    A row axis scores r against row norms; a column axis scores g = A^T z
     against column norms.  The domain is the nonzero lines of the axis, a
     simple random sample of them (an axis of one line is its own sample) or
     the greedy index set.  The pick is a CDF draw over the domain or its
     top score(s); a domain of one line gives a 1-D step.  All scores zero
     (a zero residual) means no-op.
     """
-    row = axis == "row"
-    ax = caches.rows if row else caches.cols
-    rule, rng = method.rule, state.rng
+    rule, rng = ax.rule, state.rng
     domain = ax.nonzero
     if rule in _SAMPLE_RULES and ax.sq_norms.size > 1:
         sample = simple_random_sample(ax.sq_norms.size, config.fraction, rng)
@@ -287,7 +285,7 @@ def _select(method, axis, state, problem, caches, config):
         return None
 
     if rule in _WHOLE_AXIS_RULES:
-        residual = state.r if row else state.g
+        residual = state.r if ax.row else state.g
         residual_sq, scores = scores_from_residual(
             residual, ax.sq_norms, (ax.residual_sq, ax.scores), ax.positive
         )
@@ -302,14 +300,14 @@ def _select(method, axis, state, problem, caches, config):
         elif domain.size < scores.size:
             scores = scores[domain]
     elif rule == "top_sample":
-        residual = _entries(row, ax.kept, state, problem, domain)
+        residual = _entries(ax, state, problem, domain)
         _, scores = scores_from_residual(residual, ax.sq_norms[domain])
         top = int(scores.argmax())
         if scores[top] <= 0.0:
             return None
         top = int(domain[top])
 
-    single = not method.pair or domain.size == 1
+    single = not ax.pair or domain.size == 1
     if rule in _TOP_RULES:
         return (top, None) if single else top_two(scores, domain)
     if rule == "greedy":
@@ -326,8 +324,8 @@ def _select(method, axis, state, problem, caches, config):
 # Update application with incremental residual maintenance
 
 
-def _axis_step(state, problem, caches, axis, i1, i2):
-    """Step on lines (i1, i2), or on i1 alone, of one axis.
+def _axis_step(state, problem, caches, ax, i1, i2):
+    """Step on lines (i1, i2), or on i1 alone, of the axis ax.
 
     A row step moves x by a combination of rows that zeroes the chosen
     entries of r.  A column step moves z by a combination of columns that
@@ -337,22 +335,19 @@ def _axis_step(state, problem, caches, axis, i1, i2):
     kind keeps are updated: from the Gram rows of the chosen lines where
     the axis has them, else with one product.
     """
-    A = problem.A
-    row = axis == "row"
-    ax = caches.rows if row else caches.cols
     pair = i2 is not None and i2 != i1
     idx = (i1, i2) if pair else (i1,)
     if ax.kept:
-        residual, at = (state.r if row else state.g), idx
+        residual, at = (state.r if ax.row else state.g), idx
     else:
-        residual, at = _entries(row, False, state, problem, np.array(idx)), (0, 1)
+        residual, at = _entries(ax, state, problem, np.array(idx)), (0, 1)
     # Negation is exact, so the column formulas see -g bit for bit.
-    sign = 1.0 if row else -1.0
+    sign = 1.0 if ax.row else -1.0
     r1 = sign * float(residual[at[0]])
     n1 = float(ax.sq_norms[i1])
     coeffs = None
     if pair:
-        dot = A.row_pair_dot(i1, i2) if row else A.col_pair_dot(i1, i2)
+        dot = ax.pair_dot(i1, i2)
         r2 = sign * float(residual[at[1]])
         coeffs = two_dim_row_coeffs(dot, n1, float(ax.sq_norms[i2]), r1, r2)
     if coeffs is None:
@@ -360,31 +355,25 @@ def _axis_step(state, problem, caches, axis, i1, i2):
         if c == 0.0:
             return
         idx, coeffs = (i1,), (c,)
-    if row:
-        dx = A.row_combination(idx, coeffs)
-        state.x += dx
+    move = ax.combination(idx, coeffs)
+    if ax.row:
+        state.x += move
         if ax.kept:
-            state.r -= A.matvec(dx) if ax.gram is None else combine_lines(ax.gram, idx, coeffs)
+            state.r -= ax.product(move) if ax.gram is None else combine_lines(ax.gram, idx, coeffs)
     else:
-        dz = A.col_combination(idx, coeffs)
-        state.z += dz
+        state.z += move
         if caches.rows.kept:
-            state.r -= dz
+            state.r -= move
         if ax.kept:
-            state.g += A.rmatvec(dz) if ax.gram is None else combine_lines(ax.gram, idx, coeffs)
+            state.g += ax.product(move) if ax.gram is None else combine_lines(ax.gram, idx, coeffs)
 
 
 def step(state, problem, caches, config):
     """Advance the state by exactly one iteration of its method, on caches built for its kind."""
-    method = METHODS[state.kind]
-    # Both axes pick from the state at the start of the step; the row step
-    # runs first, so the entries it forms see the pre-step z.
-    chosen = [
-        (axis, _select(method, axis, state, problem, caches, config)) for axis in method.axes
-    ]
-    for axis, lines in chosen:
+    for ax in caches.axes:
+        lines = _select(ax, state, problem, caches, config)
         if lines is not None:
-            _axis_step(state, problem, caches, axis, *lines)
+            _axis_step(state, problem, caches, ax, *lines)
     state.k += 1
     return state
 

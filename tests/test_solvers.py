@@ -547,13 +547,13 @@ def test_stop_config_accepts_the_edges():
 
 def _pair_counts(kind, problem, axis, draws, seed, config=None):
     """Counts of the ordered pairs _select draws on one axis of the initial state."""
-    method = METHODS[kind]
     caches = build_caches(problem.A, kind)
+    ax = caches.rows if axis == "row" else caches.cols
     state = SolverState.initial(kind, problem, seed=seed)
     config = config or StopConfig()
     counts = {}
     for _ in range(draws):
-        i1, i2 = solvers._select(method, axis, state, problem, caches, config)
+        i1, i2 = solvers._select(ax, state, problem, caches, config)
         counts[i1, i2] = counts.get((i1, i2), 0) + 1
     return counts
 
@@ -639,5 +639,5 @@ def test_no_rule_picks_a_zero_norm_line(monkeypatch, kind, shape):
         step(state, problem, caches, StopConfig(fraction=0.5))
     assert picks
     for axis, i1, i2 in picks:
-        sq_norms = caches.norms.row_sq_norms if axis == "row" else caches.norms.col_sq_norms
+        sq_norms = caches.norms.row_sq_norms if axis.row else caches.norms.col_sq_norms
         assert sq_norms[i1] > 0 and (i2 is None or sq_norms[i2] > 0)

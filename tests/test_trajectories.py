@@ -1,9 +1,9 @@
 """Golden trajectories: the lines each kind picks, and its solve iterations.
 
 A refactor of selection or of the steps must leave these unchanged.  Each
-case hashes the first 300 (axis, first, second) picks that reach
-_axis_step, with no second line stored as -1, and records solve's iters
-at check_every 10.  The expected values were recorded before the
+case hashes the first 300 picks that reach _axis_step, spied as
+(is a column axis, first, second) with no second line stored as -1, and
+records solve's iters at check_every 10.  The expected values were recorded before the
 selection pipeline was unified, so they pin the pick sequences across it.
 """
 
@@ -129,7 +129,7 @@ def _pick_hash(monkeypatch, kind, problem):
     original = solvers._axis_step
 
     def spy(state, problem, caches, axis, i1, i2):
-        picks.append((axis == "column", i1, -1 if i2 is None else i2))
+        picks.append((not axis.row, i1, -1 if i2 is None else i2))
         return original(state, problem, caches, axis, i1, i2)
 
     monkeypatch.setattr(solvers, "_axis_step", spy)

@@ -17,7 +17,8 @@ def row_step(A, x, rhs, i1, i2=None):
     """x after the solver's row step at (i1, i2) against the right-hand side rhs."""
     x = np.array(x, dtype=np.float64)
     state = SolverState(SolverKind.TGRK, x, None, rhs - A.matvec(x), None, 0, None)
-    _axis_step(state, LsProblem(A=A, b=rhs), build_caches(A, SolverKind.TGRK), "row", i1, i2)
+    caches = build_caches(A, SolverKind.TGRK)
+    _axis_step(state, LsProblem(A=A, b=rhs), caches, caches.rows, i1, i2)
     return state.x
 
 
@@ -25,7 +26,8 @@ def col_step(A, z, j1, j2=None):
     """z after the solver's column step at (j1, j2)."""
     z = np.array(z, dtype=np.float64)
     state = SolverState(SolverKind.GPROJ, None, z, None, A.rmatvec(z), 0, None)
-    _axis_step(state, LsProblem(A=A, b=z), build_caches(A, SolverKind.GPROJ), "column", j1, j2)
+    caches = build_caches(A, SolverKind.GPROJ)
+    _axis_step(state, LsProblem(A=A, b=z), caches, caches.cols, j1, j2)
     return state.z
 
 
