@@ -466,6 +466,13 @@ def test_every_kind_has_one_method_row():
     assert list(METHODS) == ALL_KINDS
     rules = {"norm", "norm_sample", "greedy", "argmax", "top_sample"}
     assert all(m.rule in rules and (m.rows or m.cols) for m in METHODS.values())
+    A = gen_gaussian(6, 4, 0)
+    for kind, method in METHODS.items():
+        caches = build_caches(A, kind)
+        rows, cols = caches.rows, caches.cols
+        plans = {(True, True): (rows, cols), (True, False): (rows,), (False, True): (cols,)}
+        assert caches.axes == plans[method.rows, method.cols] and rows.row and not cols.row
+        assert all((ax.rule, ax.pair) == (method.rule, method.pair) for ax in caches.axes)
 
 
 def test_families_partition_the_kinds():
