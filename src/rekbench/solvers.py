@@ -137,7 +137,7 @@ class StopConfig:
 
 
 class AxisCache:
-    """One axis (rows or columns) of A: how one kind selects and steps on it, planned once per run."""
+    """How one kind selects and steps on one axis (rows or columns) of A, planned once per run."""
 
     def __init__(self, A, row, method, norms):
         self.row = row

@@ -3,8 +3,9 @@
 A refactor of selection or of the steps must leave these unchanged.  Each
 case hashes the first 300 picks that reach _axis_step, spied as
 (is a column axis, first, second) with no second line stored as -1, and
-records solve's iters at check_every 10.  The expected values were recorded before the
-selection pipeline was unified, so they pin the pick sequences across it.
+records solve's iters at check_every 10.  The expected values were
+recorded before the selection pipeline was unified, so they pin the pick
+sequences across it.
 """
 
 import hashlib
