@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -178,21 +180,31 @@ def test_grek_stops_at_zero_solution():
     assert rec.final_dual_residual == 0.0
 
 
-def test_converged_matches_hand_formula():
+@pytest.mark.parametrize("kind", [SolverKind.REK, SolverKind.RK, SolverKind.GPROJ])
+def test_converged_matches_hand_formula(kind):
     problem = make_inconsistent_problem(gen_gaussian(12, 5, 6), 6)
-    caches = build_caches(problem.A, SolverKind.REK)
-    state = SolverState.initial(SolverKind.REK, problem, seed=0)
+    caches = build_caches(problem.A, kind)
+    state = SolverState.initial(kind, problem, seed=0)
     for _ in range(30):
         step(state, problem, caches, StopConfig())
+    state.refresh(problem)
     A, b = problem.A, problem.b
     frob = np.sqrt(caches.norms.frob_sq)
-    x_norm = np.linalg.norm(state.x)
-    for tol in (1e-12, 1e-3, 1e2):
-        expect = (
-            np.linalg.norm(b - state.z - A.matvec(state.x)) <= tol * frob * x_norm
-            and np.linalg.norm(A.rmatvec(state.z)) <= tol * frob**2 * x_norm
-        )
-        assert converged(state, problem, caches, StopConfig(tol=tol)) == expect
+    outcomes = set()
+    for tol in (1e-12, 1e-3, 1e-1, 1e2):
+        if kind in PROJECTION_KINDS:
+            z_norm = np.linalg.norm(state.z)
+            expect = np.linalg.norm(A.rmatvec(state.z)) <= tol * frob**2 * z_norm
+        else:
+            x_norm = np.linalg.norm(state.x)
+            z = 0.0 if kind in CONSISTENT_KINDS else state.z
+            expect = np.linalg.norm(b - z - A.matvec(state.x)) <= tol * frob * x_norm
+            if kind in EXTENDED_KINDS:
+                expect = expect and np.linalg.norm(A.rmatvec(state.z)) <= tol * frob**2 * x_norm
+        outcome = converged(state, problem, caches, StopConfig(tol=tol))
+        assert outcome == expect
+        outcomes.add(outcome)
+    assert outcomes == {True, False}
 
 
 def test_rse_values():
@@ -462,8 +474,17 @@ def test_sparse_and_dense_agree_for_srek():
     assert np.allclose(results[0], results[1], atol=1e-10)
 
 
+KIND_NAMES = ["REK", "TREK_ALT", "TREKS", "GREK", "SREK", "TGREK", "TSREK", "TSREKS"]
+KIND_NAMES += ["RK", "TRKS", "TGRK", "TSRK", "TSRKS", "GPROJ", "SPROJ"]
+
+
 def test_every_kind_has_one_method_row():
-    assert list(METHODS) == ALL_KINDS
+    # RNG tags and bench cell seeds are built from kind.value, in this order.
+    assert [k.value for k in SolverKind] == KIND_NAMES
+    assert all(isinstance(k, str) and k.name == k.value for k in SolverKind)
+    assert SolverKind("TSREKS") is SolverKind.TSREKS
+    assert all(pickle.loads(pickle.dumps(k)) is k and copy.deepcopy(k) is k for k in SolverKind)
+    assert list(METHODS) == list(SolverKind)
     rules = {"norm", "norm_sample", "greedy", "argmax", "top_sample"}
     assert all(m.rule in rules and (m.rows or m.cols) for m in METHODS.values())
     A = gen_gaussian(6, 4, 0)
@@ -648,3 +669,4 @@ def test_no_rule_picks_a_zero_norm_line(monkeypatch, kind, shape):
     for axis, i1, i2 in picks:
         sq_norms = caches.norms.row_sq_norms if axis.row else caches.norms.col_sq_norms
         assert sq_norms[i1] > 0 and (i2 is None or sq_norms[i2] > 0)
+        assert i2 != i1
