@@ -49,24 +49,6 @@ from .selection import (
 from .updates import two_dim_row_coeffs
 
 
-class SolverKind(str, Enum):
-    REK = "REK"
-    TREK_ALT = "TREK_ALT"
-    TREKS = "TREKS"
-    GREK = "GREK"
-    SREK = "SREK"
-    TGREK = "TGREK"
-    TSREK = "TSREK"
-    TSREKS = "TSREKS"
-    RK = "RK"
-    TRKS = "TRKS"
-    TGRK = "TGRK"
-    TSRK = "TSRK"
-    TSRKS = "TSRKS"
-    GPROJ = "GPROJ"
-    SPROJ = "SPROJ"
-
-
 @dataclass(frozen=True)
 class Method:
     """How a kind picks lines, and on which axes it steps.
@@ -84,24 +66,26 @@ class Method:
     cols: bool  # steps z against g = A^T z
 
 
-K = SolverKind
-METHODS = {
-    K.REK: Method("norm", pair=False, rows=True, cols=True),
-    K.TREK_ALT: Method("norm", pair=True, rows=True, cols=True),
-    K.TREKS: Method("norm_sample", pair=True, rows=True, cols=True),
-    K.GREK: Method("greedy", pair=False, rows=True, cols=True),
-    K.SREK: Method("argmax", pair=False, rows=True, cols=True),
-    K.TGREK: Method("greedy", pair=True, rows=True, cols=True),
-    K.TSREK: Method("argmax", pair=True, rows=True, cols=True),
-    K.TSREKS: Method("top_sample", pair=True, rows=True, cols=True),
-    K.RK: Method("norm", pair=False, rows=True, cols=False),
-    K.TRKS: Method("norm_sample", pair=True, rows=True, cols=False),
-    K.TGRK: Method("greedy", pair=True, rows=True, cols=False),
-    K.TSRK: Method("argmax", pair=True, rows=True, cols=False),
-    K.TSRKS: Method("top_sample", pair=True, rows=True, cols=False),
-    K.GPROJ: Method("greedy", pair=False, rows=False, cols=True),
-    K.SPROJ: Method("argmax", pair=False, rows=False, cols=True),
+_ROWS = {
+    "REK": Method("norm", pair=False, rows=True, cols=True),
+    "TREK_ALT": Method("norm", pair=True, rows=True, cols=True),
+    "TREKS": Method("norm_sample", pair=True, rows=True, cols=True),
+    "GREK": Method("greedy", pair=False, rows=True, cols=True),
+    "SREK": Method("argmax", pair=False, rows=True, cols=True),
+    "TGREK": Method("greedy", pair=True, rows=True, cols=True),
+    "TSREK": Method("argmax", pair=True, rows=True, cols=True),
+    "TSREKS": Method("top_sample", pair=True, rows=True, cols=True),
+    "RK": Method("norm", pair=False, rows=True, cols=False),
+    "TRKS": Method("norm_sample", pair=True, rows=True, cols=False),
+    "TGRK": Method("greedy", pair=True, rows=True, cols=False),
+    "TSRK": Method("argmax", pair=True, rows=True, cols=False),
+    "TSRKS": Method("top_sample", pair=True, rows=True, cols=False),
+    "GPROJ": Method("greedy", pair=False, rows=False, cols=True),
+    "SPROJ": Method("argmax", pair=False, rows=False, cols=True),
 }
+# One str member per row, named and valued by its key, in table order.
+SolverKind = Enum("SolverKind", {name: name for name in _ROWS}, module=__name__, type=str)
+METHODS = {SolverKind(name): m for name, m in _ROWS.items()}
 # The rules that read the whole residual of an axis; the others read the
 # lines they draw or sample.
 _WHOLE_AXIS_RULES = ("greedy", "argmax")
@@ -217,11 +201,10 @@ class SolverState:
 
     def refresh(self, problem):
         """Recompute the maintained residual vectors from x and z."""
-        method = METHODS[self.kind]
         A, b = problem.A, problem.b
-        if method.rows:
-            self.r = (b - self.z if method.cols else b) - A.matvec(self.x)
-        if method.cols:
+        if self.x is not None:
+            self.r = (b if self.z is None else b - self.z) - A.matvec(self.x)
+        if self.z is not None:
             self.g = A.rmatvec(self.z)
 
 
@@ -267,7 +250,7 @@ def _entries(ax, state, problem, idx):
 
 
 def _select(ax, state, problem, caches, config):
-    """Chosen (first, second-or-None) indices along the axis ax, or None to skip.
+    """The chosen lines of the axis ax, (i,) or a distinct pair (i1, i2); None to skip.
 
     A row axis scores r against row norms; a column axis scores g = A^T z
     against column norms.  The domain is the nonzero lines of the axis, a
@@ -309,14 +292,14 @@ def _select(ax, state, problem, caches, config):
 
     single = not ax.pair or domain.size == 1
     if rule in _TOP_RULES:
-        return (top, None) if single else top_two(scores, domain)
+        return (top,) if single else top_two(scores, domain)
     if rule == "greedy":
         cdf = cumulative_weights(residual_sq[domain])
     else:
         cdf = ax.cdf if rule == "norm" else cumulative_weights(ax.sq_norms[domain])
     k1 = pick_from_cdf(cdf, rng)
     if single:
-        return int(domain[k1]), None
+        return (int(domain[k1]),)
     return int(domain[k1]), int(domain[pick_from_cdf(cdf, rng, k1)])
 
 
@@ -324,8 +307,8 @@ def _select(ax, state, problem, caches, config):
 # Update application with incremental residual maintenance
 
 
-def _axis_step(state, problem, caches, ax, i1, i2):
-    """Step on lines (i1, i2), or on i1 alone, of the axis ax.
+def _axis_step(state, problem, caches, ax, idx):
+    """Step on the lines idx of the axis ax, as _select returns them: (i1,) or (i1, i2).
 
     A row step moves x by a combination of rows that zeroes the chosen
     entries of r.  A column step moves z by a combination of columns that
@@ -335,8 +318,7 @@ def _axis_step(state, problem, caches, ax, i1, i2):
     kind keeps are updated: from the Gram rows of the chosen lines where
     the axis has them, else with one product.
     """
-    pair = i2 is not None and i2 != i1
-    idx = (i1, i2) if pair else (i1,)
+    i1 = idx[0]
     if ax.kept:
         residual, at = (state.r if ax.row else state.g), idx
     else:
@@ -346,7 +328,8 @@ def _axis_step(state, problem, caches, ax, i1, i2):
     r1 = sign * float(residual[at[0]])
     n1 = float(ax.sq_norms[i1])
     coeffs = None
-    if pair:
+    if len(idx) == 2:
+        i2 = idx[1]
         dot = ax.pair_dot(i1, i2)
         r2 = sign * float(residual[at[1]])
         coeffs = two_dim_row_coeffs(dot, n1, float(ax.sq_norms[i2]), r1, r2)
@@ -371,9 +354,9 @@ def _axis_step(state, problem, caches, ax, i1, i2):
 def step(state, problem, caches, config):
     """Advance the state by exactly one iteration of its method, on caches built for its kind."""
     for ax in caches.axes:
-        lines = _select(ax, state, problem, caches, config)
-        if lines is not None:
-            _axis_step(state, problem, caches, ax, *lines)
+        idx = _select(ax, state, problem, caches, config)
+        if idx is not None:
+            _axis_step(state, problem, caches, ax, idx)
     state.k += 1
     return state
 
@@ -394,12 +377,11 @@ def converged(state, problem, caches, config, norms=None):
     residuals of x and z rather than the incrementally maintained ones.
     norms, when given, is their _residual_norms pair.
     """
-    method = METHODS[state.kind]
     tol = config.tol
     frob_sq = caches.norms.frob_sq
     frob = math.sqrt(frob_sq)
     primary, dual = norms or _residual_norms(state)
-    if not method.rows:
+    if state.x is None:
         z_norm = float(np.linalg.norm(state.z))
         return z_norm == 0.0 or dual <= tol * frob_sq * z_norm
     x_norm = float(np.linalg.norm(state.x))
@@ -411,7 +393,7 @@ def converged(state, problem, caches, config, norms=None):
         primary_bound, dual_bound = tol * b_norm, tol * frob * b_norm
     else:
         primary_bound, dual_bound = tol * frob * x_norm, tol * frob_sq * x_norm
-    return primary <= primary_bound and (not method.cols or dual <= dual_bound)
+    return primary <= primary_bound and (state.z is None or dual <= dual_bound)
 
 
 def _current_rse(state, problem):

@@ -581,8 +581,8 @@ def _pair_counts(kind, problem, axis, draws, seed, config=None):
     config = config or StopConfig()
     counts = {}
     for _ in range(draws):
-        i1, i2 = solvers._select(ax, state, problem, caches, config)
-        counts[i1, i2] = counts.get((i1, i2), 0) + 1
+        idx = solvers._select(ax, state, problem, caches, config)
+        counts[idx] = counts.get(idx, 0) + 1
     return counts
 
 
@@ -657,16 +657,16 @@ def test_no_rule_picks_a_zero_norm_line(monkeypatch, kind, shape):
     picks = []
     original = solvers._axis_step
 
-    def spy(state, problem, caches, axis, i1, i2):
-        picks.append((axis, i1, i2))
-        return original(state, problem, caches, axis, i1, i2)
+    def spy(state, problem, caches, axis, idx):
+        picks.append((axis, idx))
+        return original(state, problem, caches, axis, idx)
 
     monkeypatch.setattr(solvers, "_axis_step", spy)
     state = SolverState.initial(kind, problem, seed=6)
     for _ in range(300):
         step(state, problem, caches, StopConfig(fraction=0.5))
     assert picks
-    for axis, i1, i2 in picks:
+    for axis, idx in picks:
         sq_norms = caches.norms.row_sq_norms if axis.row else caches.norms.col_sq_norms
-        assert sq_norms[i1] > 0 and (i2 is None or sq_norms[i2] > 0)
-        assert i2 != i1
+        assert all(sq_norms[i] > 0 for i in idx)
+        assert len(set(idx)) == len(idx)

@@ -129,9 +129,9 @@ def _pick_hash(monkeypatch, kind, problem):
     picks = []
     original = solvers._axis_step
 
-    def spy(state, problem, caches, axis, i1, i2):
-        picks.append((not axis.row, i1, -1 if i2 is None else i2))
-        return original(state, problem, caches, axis, i1, i2)
+    def spy(state, problem, caches, axis, idx):
+        picks.append((not axis.row, idx[0], idx[1] if len(idx) == 2 else -1))
+        return original(state, problem, caches, axis, idx)
 
     monkeypatch.setattr(solvers, "_axis_step", spy)
     state = SolverState.initial(kind, problem, seed=SEED)

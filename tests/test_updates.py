@@ -18,7 +18,7 @@ def row_step(A, x, rhs, i1, i2=None):
     x = np.array(x, dtype=np.float64)
     state = SolverState(SolverKind.TGRK, x, None, rhs - A.matvec(x), None, 0, None)
     caches = build_caches(A, SolverKind.TGRK)
-    _axis_step(state, LsProblem(A=A, b=rhs), caches, caches.rows, i1, i2)
+    _axis_step(state, LsProblem(A=A, b=rhs), caches, caches.rows, (i1,) if i2 is None else (i1, i2))
     return state.x
 
 
@@ -27,7 +27,7 @@ def col_step(A, z, j1, j2=None):
     z = np.array(z, dtype=np.float64)
     state = SolverState(SolverKind.GPROJ, None, z, None, A.rmatvec(z), 0, None)
     caches = build_caches(A, SolverKind.GPROJ)
-    _axis_step(state, LsProblem(A=A, b=z), caches, caches.cols, j1, j2)
+    _axis_step(state, LsProblem(A=A, b=z), caches, caches.cols, (j1,) if j2 is None else (j1, j2))
     return state.z
 
 
