@@ -83,7 +83,6 @@ _ROWS = {
     "GPROJ": Method("greedy", pair=False, rows=False, cols=True),
     "SPROJ": Method("argmax", pair=False, rows=False, cols=True),
 }
-# One str member per row, named and valued by its key, in table order.
 SolverKind = Enum("SolverKind", {name: name for name in _ROWS}, module=__name__, type=str)
 METHODS = {SolverKind(name): m for name, m in _ROWS.items()}
 # The rules that read the whole residual of an axis; the others read the
