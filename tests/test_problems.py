@@ -11,7 +11,6 @@ from rekbench.problems import (
     make_inconsistent_problem,
     parallel_beam_matrix,
     project_off_range,
-    ray_pixel_lengths,
     save_problem,
     shepp_logan,
     shepp_logan_value,
@@ -131,10 +130,63 @@ def test_phantom_center_matches_pointwise_formula():
 
 
 def test_single_horizontal_ray_2x2():
-    # theta=0 is a horizontal ray; offset 0.5 passes through the top row.
-    pix, lens = ray_pixel_lengths(2, 0.0, 0.5)
-    assert sorted(pix.tolist()) == [2, 3]
-    assert np.allclose(lens, [1.0, 1.0])
+    # One angle, theta=0, gives horizontal rays; two detectors sit at offsets
+    # -0.5 and 0.5, so row 1 passes through the top row of pixels.
+    A = parallel_beam_matrix(2, 1, 2)
+    row = slice(A.csr_indptr[1], A.csr_indptr[2])
+    assert sorted(A.csr_indices[row].tolist()) == [2, 3]
+    assert np.allclose(A.csr_data[row], [1.0, 1.0])
+
+
+def _chord_length(side, theta, offset):
+    """Length of the ray inside [-side/2, side/2]^2, by the slab method."""
+    half = side / 2
+    lo, hi = -np.inf, np.inf
+    for d, o in ((np.cos(theta), -offset * np.sin(theta)), (np.sin(theta), offset * np.cos(theta))):
+        if abs(d) < 1e-12:  # parallel to this slab: inside it or missing the square
+            if abs(o) > half:
+                return 0.0
+            continue
+        u1, u2 = sorted(((-half - o) / d, (half - o) / d))
+        lo, hi = max(lo, u1), min(hi, u2)
+    return max(hi - lo, 0.0)
+
+
+def _offsets(side, n_det):
+    return [(det - (n_det - 1) / 2) * side / n_det for det in range(n_det)]
+
+
+# Random (side, n_angles, n_detectors); test_chord_sizes_reach_edge_cases
+# checks that they hold the edge cases.
+CHORD_SIZES = [
+    tuple(int(v) for v in size)
+    for size in np.random.default_rng(17).integers((2, 1, 1), (20, 30, 30), size=(24, 3))
+]
+
+
+def test_chord_sizes_reach_edge_cases():
+    # An even angle count has a vertical ray (theta = pi/2); a ray whose
+    # offset is a grid plane runs along a grid line at 0 and 90 degrees.
+    assert any(n_angles % 2 == 0 for _, n_angles, _ in CHORD_SIZES)
+    assert any(
+        abs(offset + side / 2 - round(offset + side / 2)) < 1e-9
+        for side, _, n_det in CHORD_SIZES
+        for offset in _offsets(side, n_det)
+    )
+
+
+@pytest.mark.parametrize("size", CHORD_SIZES, ids=lambda s: "x".join(map(str, s)))
+def test_row_sums_are_chord_lengths(size):
+    side, n_angles, n_det = size
+    A = parallel_beam_matrix(*size)
+    assert np.all(np.diff(A.csr_indptr) > 0)  # every ray meets the grid
+    row_sums = np.bincount(A.csr_rowids, weights=A.csr_data, minlength=A.rows)
+    chords = [
+        _chord_length(side, a * np.pi / n_angles, offset)
+        for a in range(n_angles)
+        for offset in _offsets(side, n_det)
+    ]
+    assert np.allclose(row_sums, chords, rtol=0.0, atol=1e-12 * side)
 
 
 def test_one_hot_projections_sum_to_pixel_value():

@@ -152,12 +152,19 @@ def test_out_of_range_index_raises(i, j):
 
 
 # First 16 hex digits of the sha256 over the seven stored arrays, in ARRAYS
-# order, recorded before the column view was derived from the row view.
+# order.  The first four were recorded before the column view was derived
+# from the row view, the last three with one traversal call per ray, before
+# the rays of an angle were traced together.  (6, 8, 1) runs its one ray
+# along grid lines at 0 and 90 degrees and through grid corners at 45;
+# (4, 4, 5) has a ray on a grid line; (7, 6, 3) has an odd side.
 TOMOGRAPHY = {
     (16, 24, 24): "abf408f55bcad34e",
     (13, 7, 9): "98dfa3ee59b71dc5",
     (5, 3, 2): "70840d475a272620",
     (6, 0, 4): "e2fc162ed9124452",
+    (6, 8, 1): "978af6fb425048fc",
+    (4, 4, 5): "4abd407f1bee7558",
+    (7, 6, 3): "d761641021045791",
 }
 
 
