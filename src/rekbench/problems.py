@@ -411,56 +411,48 @@ def shepp_logan(side):
     return np.clip(shepp_logan_value(x, y).ravel(), 0.0, 1.0)
 
 
-def ray_pixel_lengths(side, theta, offset):
-    """Intersection lengths of one ray with a side x side unit-pixel grid.
+def _angle_rays(side, theta, offsets):
+    """Intersections of the parallel rays of one angle with a side x side unit-pixel grid.
 
-    The grid spans [-side/2, side/2]^2.  The ray has direction
-    (cos theta, sin theta) and passes through offset * (-sin theta, cos theta).
-    Returns (pixel_indices, lengths) with pixel index iy * side + ix.
+    The grid spans [-side/2, side/2]^2.  Ray k has direction (cos theta,
+    sin theta) and passes through offsets[k] * (-sin theta, cos theta); with
+    every |offsets[k]| < side/2 it crosses the grid.  Returns (ray, pixel,
+    length) per ray-pixel segment, by ray and then along it, with pixel
+    index iy * side + ix.
     """
     half = side / 2.0
-    d = np.array([np.cos(theta), np.sin(theta)])
-    o = offset * np.array([-np.sin(theta), np.cos(theta)])
     tiny = 1e-12
-    umin, umax = -np.inf, np.inf
-    for ax in range(2):
-        if abs(d[ax]) > tiny:
-            u1 = (-half - o[ax]) / d[ax]
-            u2 = (half - o[ax]) / d[ax]
-            umin = max(umin, min(u1, u2))
-            umax = min(umax, max(u1, u2))
-        elif not -half <= o[ax] <= half:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-    if umax <= umin + tiny:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    crossings = [umin, umax]
+    d = (np.cos(theta), np.sin(theta))
+    o = (offsets * -np.sin(theta), offsets * np.cos(theta))
+    axes = [ax for ax in range(2) if abs(d[ax]) > tiny]  # the ray crosses this axis's planes
+    ends = [((-half - o[ax]) / d[ax], (half - o[ax]) / d[ax]) for ax in axes]
+    umin = np.max([np.minimum(u1, u2) for u1, u2 in ends], axis=0)[:, None]
+    umax = np.min([np.maximum(u1, u2) for u1, u2 in ends], axis=0)[:, None]
     planes = np.arange(side + 1) - half
-    for ax in range(2):
-        if abs(d[ax]) > tiny:
-            u = (planes - o[ax]) / d[ax]
-            crossings.extend(u[(u > umin + tiny) & (u < umax - tiny)])
-    us = np.unique(np.asarray(crossings))
-    lengths = np.diff(us)
-    mids = o[:, None] + d[:, None] * (us[:-1] + us[1:]) / 2.0
-    ix = np.clip(np.floor(mids[0] + half).astype(np.int64), 0, side - 1)
-    iy = np.clip(np.floor(mids[1] + half).astype(np.int64), 0, side - 1)
+    crossings = [(planes - o[ax][:, None]) / d[ax] for ax in axes]
+    # A crossing outside the chord moves onto its exit, where it ends a zero-length segment.
+    inside = [np.where((u > umin + tiny) & (u < umax - tiny), u, umax) for u in crossings]
+    us = np.sort(np.hstack([umin, umax, *inside]), axis=1)
+    lengths = np.diff(us, axis=1)
+
+    def cell(ax):  # the pixel coordinate of each segment's midpoint
+        mid = o[ax][:, None] + d[ax] * (us[:, :-1] + us[:, 1:]) / 2.0
+        return np.clip(np.floor(mid + half).astype(np.int64), 0, side - 1)
+
     keep = lengths > tiny
-    return (iy * side + ix)[keep], lengths[keep]
+    return np.nonzero(keep)[0], (cell(1) * side + cell(0))[keep], lengths[keep]
 
 
 def parallel_beam_matrix(image_side, n_angles, n_detectors):
     """Sparse ray-intersection matrix, one row per (angle, detector)."""
-    spacing = image_side / n_detectors
-    offsets = [(det - (n_detectors - 1) / 2.0) * spacing for det in range(n_detectors)]
-    rays = [
-        ray_pixel_lengths(image_side, a * np.pi / n_angles, offset)
-        for a in range(n_angles)
-        for offset in offsets
-    ]
-    pix = np.concatenate([np.empty(0, dtype=np.int64)] + [p for p, _ in rays])  # even with no rays
-    lens = np.concatenate([np.empty(0)] + [lengths for _, lengths in rays])
-    rows = np.repeat(np.arange(len(rays)), [p.size for p, _ in rays])
-    return DualSparseMatrix(n_angles * n_detectors, image_side**2, rows, pix, lens)
+    offsets = (np.arange(n_detectors) - (n_detectors - 1) / 2.0) * (image_side / n_detectors)
+    # The empty first triple types the concatenation even with no angles.
+    traced = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
+    for a in range(n_angles):
+        ray, pixel, length = _angle_rays(image_side, a * np.pi / n_angles, offsets)
+        traced.append((a * n_detectors + ray, pixel, length))
+    rows, pixels, lengths = (np.concatenate(part) for part in zip(*traced))
+    return DualSparseMatrix(n_angles * n_detectors, image_side**2, rows, pixels, lengths)
 
 
 def gen_parallel_beam(image_side, n_angles, n_detectors, seed):
