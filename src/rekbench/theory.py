@@ -118,6 +118,8 @@ def compute_constants(A, sample=None):
             f"{m}x{n} exceeds the {PAIRWISE_CAP} pairwise-scan cap; "
             "pass a sample size for an approximate scan"
         )
+    # First, so that a matrix past the oracle cap is refused before any scan.
+    lam_min, lam_max = gram_extreme_eigenvalues(A)
     norms = build_norm_cache(A)
     frob_sq = norms.frob_sq
     rng = rngmod.stream(0, rngmod.method_tag("constants_sample"))
@@ -126,7 +128,6 @@ def compute_constants(A, sample=None):
     delta_t, Delta_t = _coherence_extremes(dense.T, sample, rng)
     row_sq = norms.row_sq_norms[norms.row_sq_norms > 0]
     col_sq = norms.col_sq_norms[norms.col_sq_norms > 0]
-    lam_min, lam_max = gram_extreme_eigenvalues(A)
     return TheoryConstants(
         delta=delta,
         Delta=Delta,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rekbench.linalg import DenseMatrix, build_norm_cache
+from rekbench import theory
+from rekbench.linalg import DenseMatrix, DualSparseMatrix, OracleTooLargeError, build_norm_cache
 from rekbench.problems import LsProblem, gen_gaussian, make_inconsistent_problem
 from rekbench.solvers import SolverKind, SolverState, StopConfig, build_caches, step
 from rekbench.theory import (
@@ -83,6 +84,21 @@ def test_constants_cap():
 
     with pytest.raises(ConstantsTooLargeError):
         compute_constants(FakeBig())
+
+
+def test_constants_past_oracle_cap_refused_before_scans(monkeypatch):
+    scans = []
+
+    def scan(*args):
+        scans.append(args)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(theory, "_coherence_extremes", scan)
+    rows = np.arange(6000)
+    A = DualSparseMatrix(6000, 10, rows, rows % 10, np.ones(6000))
+    with pytest.raises(OracleTooLargeError):
+        compute_constants(A, sample=50)
+    assert scans == []
 
 
 def test_constants_sampled_flagged_approximate():
