@@ -159,14 +159,14 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
-def _result_row(record, problem, method, trial_seed):
+def _result_row(record, problem):
     m, n = problem.A.shape
     return {
-        "method": method,
+        "method": record.kind.value,
         "problem": problem.label,
         "m": m,
         "n": n,
-        "trial_seed": trial_seed,
+        "trial_seed": record.seed,
         "iters": record.iters,
         "wall_time_ms": record.wall_time * 1000.0,
         "rse": record.final_rse,
@@ -207,7 +207,7 @@ def _cmd_solve(args):
             writer.writerow(["step", "primary_residual", "dual_residual", "rse"])
             for row in record.history:
                 writer.writerow(row)
-    _print_json(_result_row(record, problem, kind.value, args.seed))
+    _print_json(_result_row(record, problem))
     if args.strict and not record.converged:
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -258,7 +258,7 @@ def _cmd_bench(args):
             for trial in range(args.trials):
                 seed = rngmod.cell_seed(args.seed, kind.value, pidx, trial)
                 record = solve(kind, problem, config, seed)
-                rows.append(_result_row(record, problem, kind.value, seed))
+                rows.append(_result_row(record, problem))
     rows.sort(key=lambda r: (r["method"], r["problem"], r["trial_seed"]))
 
     fieldnames = list(rows[0].keys())
@@ -291,7 +291,7 @@ def _cmd_bench(args):
 
 
 def _constants_payload(A, sample=None):
-    """((constants, rates), JSON payload), or (None, the pairwise-cap error payload)."""
+    """(rates, JSON payload), or (None, the pairwise-cap error payload)."""
     try:
         consts = compute_constants(A, sample=sample)
     except ConstantsTooLargeError as exc:
@@ -309,28 +309,27 @@ def _constants_payload(A, sample=None):
         "vacuous": list(rates.vacuous),
         "frob_sq": consts.frob_sq,
     }
-    return (consts, rates), payload
+    return rates, payload
 
 
 def _cmd_constants(args):
     if bool(args.matrix) == bool(args.problem):
         raise ValueError("constants needs exactly one of --matrix / --problem")
     A = read_matrix_market(args.matrix) if args.matrix else _load(args.problem).A
-    computed, payload = _constants_payload(A, sample=args.sample)
+    rates, payload = _constants_payload(A, sample=args.sample)
     _print_json(payload, indent=2)
-    return EXIT_OK if computed else EXIT_IO
+    return EXIT_IO if rates is None else EXIT_OK
 
 
 def _cmd_verify(args):
     _at_least_one("trials", args.trials)
     _at_least_one("steps", args.steps)
     problem = _load(args.problem)
-    computed, payload = _constants_payload(problem.A)
+    rates, payload = _constants_payload(problem.A)
     report = {"problem": problem.label, **payload}
-    if computed is None:
+    if rates is None:
         _print_json(report, indent=2)
         return EXIT_IO
-    _, rates = computed
     checks = {}
     if not args.rate_only:
         # Unclamped, as this check has always read it: rates.thm1_beta clamps
