@@ -434,13 +434,14 @@ def _angle_rays(side, theta, offsets):
     inside = [np.where((u > umin + tiny) & (u < umax - tiny), u, umax) for u in crossings]
     us = np.sort(np.hstack([umin, umax, *inside]), axis=1)
     lengths = np.diff(us, axis=1)
-
-    def cell(ax):  # the pixel coordinate of each segment's midpoint
-        mid = o[ax][:, None] + d[ax] * (us[:, :-1] + us[:, 1:]) / 2.0
-        return np.clip(np.floor(mid + half).astype(np.int64), 0, side - 1)
-
     keep = lengths > tiny
-    return np.nonzero(keep)[0], (cell(1) * side + cell(0))[keep], lengths[keep]
+    ray = np.nonzero(keep)[0]
+    sums = (us[:, :-1] + us[:, 1:])[keep]  # twice the midpoint parameter of each kept segment
+    ix, iy = (
+        np.clip(np.floor(o[ax][ray] + d[ax] * sums / 2.0 + half).astype(np.int64), 0, side - 1)
+        for ax in range(2)
+    )
+    return ray, iy * side + ix, lengths[keep]
 
 
 def parallel_beam_matrix(image_side, n_angles, n_detectors):
