@@ -152,6 +152,22 @@ def test_sparse_kernels_match_dense():
 
 
 @pytest.mark.parametrize("sparse", [False, True])
+def test_line_kernels_match_dense(sparse):
+    A = random_sparse(8, 6, 0.4, 7)
+    dense = A.to_dense()
+    if not sparse:
+        A = DenseMatrix(dense)
+    for j in range(6):
+        assert np.allclose(A.col_vec(j), dense[:, j])
+        assert np.allclose(A.mat_t_col(j), dense.T @ dense[:, j])
+    for i in range(8):
+        assert np.allclose(A.mat_row(i), dense @ dense[i])
+        x = np.arange(1.0, 7.0)
+        A.add_scaled_row(x, i, -2.5)
+        assert np.allclose(x, np.arange(1.0, 7.0) - 2.5 * dense[i])
+
+
+@pytest.mark.parametrize("sparse", [False, True])
 def test_row_and_column_dots_are_entries_of_the_products(sparse):
     A = random_sparse(8, 6, 0.4, 5)
     if not sparse:

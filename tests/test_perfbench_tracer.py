@@ -8,9 +8,13 @@ test suite, not only the benchmark run.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import rekbench.solvers as solvers
 import rekbench.updates as updates
 from rekbench import SolverKind, StopConfig, gen_gaussian, make_inconsistent_problem, solve
+from rekbench.linalg import DualSparseMatrix
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -37,6 +41,30 @@ def test_tracer_installs_times_and_uninstalls():
     assert calls["solvers.step"] == 20
     assert calls["updates.two_dim_row_coeffs"] > 0
     assert calls["updates.pair_geometry_from"] == calls["updates.two_dim_row_coeffs"]
+
+
+LINE_KERNELS = ("linalg.mat_row", "linalg.mat_t_col", "linalg.add_scaled_row", "linalg.col_vec")
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_tracer_times_the_line_kernels(sparse):
+    # No solver calls these four; only the tracer names them, so a call here
+    # is what keeps each name resolvable.
+    A = gen_gaussian(6, 4, 1)
+    if sparse:
+        rows, cols = np.nonzero(A.values)
+        A = DualSparseMatrix(6, 4, rows, cols, A.values[rows, cols])
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        A.mat_row(2)
+        A.mat_t_col(1)
+        A.add_scaled_row(np.zeros(4), 3, 0.5)
+        A.col_vec(0)
+    finally:
+        tracer.uninstall()
+    calls = {name: c for name, (c, _, _) in tracer.aggregates()[0].items()}
+    assert {name: calls[name] for name in LINE_KERNELS} == dict.fromkeys(LINE_KERNELS, 1)
 
 
 HOT_LOOP = (
