@@ -114,7 +114,6 @@ def _build_parser():
     vf.add_argument("--trials", type=int, default=200)
     vf.add_argument("--steps", type=int, default=20)
     vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--rate-only", action="store_true")
 
     ct = sub.add_parser("constants", help="matrix constants and rates")
     ct.set_defaults(handler=_cmd_constants)
@@ -331,29 +330,28 @@ def _cmd_verify(args):
         _print_json(report, indent=2)
         return EXIT_IO
     checks = {}
-    if not args.rate_only:
-        # Unclamped, as this check has always read it: rates.thm1_beta clamps
-        # a vacuous (negative) bound to 0.
-        thm1 = rates.raw["thm1_beta"]
-        means, errs = empirical_contraction(
-            SolverKind.GPROJ, problem, args.trials, args.steps, args.seed
-        )
-        ok = np.all((means <= thm1 + 3 * errs) | np.isnan(means))
-        checks["thm1_gproj"] = {
-            "bound": thm1,
-            "mean_ratios": means.tolist(),
-            "stderrs": errs.tolist(),
-            "pass": bool(ok),
-        }
-        thm3 = rates.thm3_beta_hat
-        means3, _ = empirical_contraction(SolverKind.SPROJ, problem, 1, args.steps, args.seed)
-        ok3 = np.all((means3 <= thm3 + 1e-12) | np.isnan(means3))
-        checks["thm3_sproj"] = {"bound": thm3, "ratios": means3.tolist(), "pass": bool(ok3)}
-        # A vacuous (negative) rate bounds nothing: its check is reported
-        # but cannot fail the report.
-        for name, rate in (("thm1_gproj", "thm1_beta"), ("thm3_sproj", "thm3_beta_hat")):
-            if rate in rates.vacuous:
-                checks[name]["vacuous"] = True
+    # Unclamped, as this check has always read it: rates.thm1_beta clamps
+    # a vacuous (negative) bound to 0.
+    thm1 = rates.raw["thm1_beta"]
+    means, errs = empirical_contraction(
+        SolverKind.GPROJ, problem, args.trials, args.steps, args.seed
+    )
+    ok = np.all((means <= thm1 + 3 * errs) | np.isnan(means))
+    checks["thm1_gproj"] = {
+        "bound": thm1,
+        "mean_ratios": means.tolist(),
+        "stderrs": errs.tolist(),
+        "pass": bool(ok),
+    }
+    thm3 = rates.thm3_beta_hat
+    means3, _ = empirical_contraction(SolverKind.SPROJ, problem, 1, args.steps, args.seed)
+    ok3 = np.all((means3 <= thm3 + 1e-12) | np.isnan(means3))
+    checks["thm3_sproj"] = {"bound": thm3, "ratios": means3.tolist(), "pass": bool(ok3)}
+    # A vacuous (negative) rate bounds nothing: its check is reported
+    # but cannot fail the report.
+    for name, rate in (("thm1_gproj", "thm1_beta"), ("thm3_sproj", "thm3_beta_hat")):
+        if rate in rates.vacuous:
+            checks[name]["vacuous"] = True
     report["checks"] = checks
     report["pass"] = all(c["pass"] or c.get("vacuous", False) for c in checks.values())
     _print_json(report, indent=2)

@@ -72,9 +72,6 @@ class DenseMatrix:
             raise IndexError(f"col index {j} out of range for {self.cols} cols")
         return self.values[:, j]
 
-    # The dense column "vector" is the view above.
-    col_vec = col
-
     def row_pair_dot(self, i1, i2):
         return float(self.row(i1) @ self.row(i2))
 
@@ -89,10 +86,6 @@ class DenseMatrix:
         """(A_(j)^T z for j in idx), one entry of A^T z per index."""
         return z @ self.values.take(idx, axis=1)
 
-    def add_scaled_row(self, x, i, c):
-        """x += c * A^(i), in place."""
-        x += c * self.row(i)
-
     def row_combination(self, idx, coeffs):
         """sum_k coeffs[k] * A^(idx[k]) for one or two rows, as a new n-vector."""
         return combine_lines(self.values, idx, coeffs)
@@ -106,14 +99,6 @@ class DenseMatrix:
 
     def rmatvec(self, z):
         return self.values.T @ z
-
-    def mat_row(self, i):
-        """A @ (A^(i))^T as a dense m-vector."""
-        return self.values @ self.row(i)
-
-    def mat_t_col(self, j):
-        """A^T @ A_(j) as a dense n-vector."""
-        return self.values.T @ self.col(j)
 
     def to_dense(self):
         return self.values.copy()
@@ -201,12 +186,6 @@ class DualSparseMatrix:
         sl = slice(self.csc_indptr[j], self.csc_indptr[j + 1])
         return self.csc_indices[sl], self.csc_data[sl]
 
-    def col_vec(self, j):
-        out = np.zeros(self.rows)
-        idx, val = self.col(j)
-        out[idx] = val
-        return out
-
     def row_pair_dot(self, i1, i2):
         return _pair_dot(self.cols, *self.row(i1), *self.row(i2))
 
@@ -218,10 +197,6 @@ class DualSparseMatrix:
 
     def col_dots(self, idx, z):
         return np.array([val @ z[rows] for rows, val in map(self.col, idx)])
-
-    def add_scaled_row(self, x, i, c):
-        idx, val = self.row(i)
-        x[idx] += c * val
 
     def row_combination(self, idx, coeffs):
         return _combination(self.cols, map(self.row, idx), coeffs)
@@ -235,14 +210,6 @@ class DualSparseMatrix:
     def rmatvec(self, z):
         return _product(self.csr_indices, self.csr_rowids, self.csr_data, z, self.cols)
 
-    def mat_row(self, i):
-        """A @ (A^(i))^T, assembled from the columns in the row's support."""
-        return self.col_combination(*self.row(i))
-
-    def mat_t_col(self, j):
-        """A^T @ A_(j), assembled from the rows in the column's support."""
-        return self.row_combination(*self.col(j))
-
     def triples(self):
         """Canonical row-major (i, j, v) arrays, for equality and I/O."""
         return self.csr_rowids, self.csr_indices, self.csr_data
@@ -251,6 +218,30 @@ class DualSparseMatrix:
         out = np.zeros((self.rows, self.cols))
         out[self.csr_rowids, self.csr_indices] = self.csr_data
         return out
+
+
+# No library code calls these four line kernels: the benchmark's tracer
+# times each by name, so each is written once over the shared kernels.
+
+
+def col_vec(A, j):
+    """A_(j) as a new dense m-vector."""
+    return A.col_combination((j,), (1.0,))
+
+
+def add_scaled_row(A, x, i, c):
+    """x += c * A^(i), in place."""
+    x += A.row_combination((i,), (c,))
+
+
+def mat_row(A, i):
+    """A @ (A^(i))^T as a dense m-vector."""
+    return A.matvec(A.row_combination((i,), (1.0,)))
+
+
+def mat_t_col(A, j):
+    """A^T @ A_(j) as a dense n-vector."""
+    return A.rmatvec(A.col_combination((j,), (1.0,)))
 
 
 @dataclass(frozen=True)

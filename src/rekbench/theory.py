@@ -29,7 +29,7 @@ from .solvers import (
     build_caches,
     step,
 )
-from .updates import PARALLEL_TOL
+from .updates import pair_geometry_from
 
 PAIRWISE_CAP = 4000
 _BLOCK = 256
@@ -143,8 +143,8 @@ def compute_constants(A, sample=None):
         lambda_max=lam_max,
         D=_coherence_combination(delta, Delta),
         D_t=_coherence_combination(delta_t, Delta_t),
-        rows_have_parallel_pair=bool(1.0 - Delta * Delta <= PARALLEL_TOL),
-        cols_have_parallel_pair=bool(1.0 - Delta_t * Delta_t <= PARALLEL_TOL),
+        rows_have_parallel_pair=pair_geometry_from(Delta, 1.0, 1.0).parallel,
+        cols_have_parallel_pair=pair_geometry_from(Delta_t, 1.0, 1.0).parallel,
         approximate=sample is not None,
     )
 

@@ -353,10 +353,16 @@ def test_verify_without_r_takes_it_from_x_star(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_rate_only(capsys, tmp_path):
+    # constants --problem prints the rates alone; verify has no flag for them.
     path = gen_bundle(capsys, tmp_path)
-    code, out, _ = run(capsys, "verify", "--problem", path, "--rate-only")
+    code, out, _ = run(capsys, "constants", "--problem", path)
     assert code == 0
-    assert json.loads(out)["checks"] == {}
+    constants = json.loads(out)
+    code, out, _ = run(capsys, "verify", "--problem", path, "--trials", "2", "--steps", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert {k: report[k] for k in constants} == constants
+    assert run(capsys, "verify", "--problem", path, "--rate-only")[0] == 1
 
 
 def test_verify_vacuous_bounds_do_not_fail(capsys, tmp_path):

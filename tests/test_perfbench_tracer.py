@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rekbench.linalg as linalg
 import rekbench.solvers as solvers
 import rekbench.updates as updates
 from rekbench import SolverKind, StopConfig, gen_gaussian, make_inconsistent_problem, solve
-from rekbench.linalg import DualSparseMatrix
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -53,14 +53,14 @@ def test_tracer_times_the_line_kernels(sparse):
     A = gen_gaussian(6, 4, 1)
     if sparse:
         rows, cols = np.nonzero(A.values)
-        A = DualSparseMatrix(6, 4, rows, cols, A.values[rows, cols])
+        A = linalg.DualSparseMatrix(6, 4, rows, cols, A.values[rows, cols])
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
-        A.mat_row(2)
-        A.mat_t_col(1)
-        A.add_scaled_row(np.zeros(4), 3, 0.5)
-        A.col_vec(0)
+        linalg.mat_row(A, 2)
+        linalg.mat_t_col(A, 1)
+        linalg.add_scaled_row(A, np.zeros(4), 3, 0.5)
+        linalg.col_vec(A, 0)
     finally:
         tracer.uninstall()
     calls = {name: c for name, (c, _, _) in tracer.aggregates()[0].items()}
