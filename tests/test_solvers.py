@@ -678,15 +678,13 @@ def test_no_rule_picks_a_zero_norm_line(monkeypatch, kind, shape):
         assert len(set(idx)) == len(idx)
 
 
-# (problem, config): two consistent problems, one of them the shape of the
-# benchmark's sweep, and a wide one whose A has full row rank, so z★ = 0.
+# (make, m, n, seed, max_iters): two consistent problems, one of them the
+# shape of the benchmark's sweep, and a wide one whose A has full row rank,
+# so z★ = 0.
 PROJECTION_STOP_CASES = {
-    "consistent-400x100": (lambda: make_consistent_problem(gen_gaussian(400, 100, 1), 1), StopConfig()),
-    "consistent-60x15": (lambda: make_consistent_problem(gen_gaussian(60, 15, 2), 2), StopConfig()),
-    "wide-15x40": (
-        lambda: make_inconsistent_problem(gen_gaussian(15, 40, 3), 3),
-        StopConfig(max_iters=3000),
-    ),
+    "consistent-400x100": (make_consistent_problem, 400, 100, 1, None),
+    "consistent-60x15": (make_consistent_problem, 60, 15, 2, None),
+    "wide-15x40": (make_inconsistent_problem, 15, 40, 3, 3000),
 }
 
 
@@ -700,8 +698,9 @@ PROJECTION_STOP_CASES = {
 @pytest.mark.parametrize("kind", ["GPROJ", "SPROJ"])
 @pytest.mark.parametrize("case", sorted(PROJECTION_STOP_CASES))
 def test_projection_kinds_stop_within_twice_grek(case, kind):
-    make, config = PROJECTION_STOP_CASES[case]
-    problem = make()
+    make, m, n, seed, max_iters = PROJECTION_STOP_CASES[case]
+    problem = make(gen_gaussian(m, n, seed), seed)
+    config = StopConfig(max_iters=max_iters)
     grek = solve(SolverKind.GREK, problem, config, seed=0)
     proj = solve(kind, problem, config, seed=0)
     assert grek.converged
