@@ -3,9 +3,11 @@
 A refactor of selection or of the steps must leave these unchanged.  Each
 case hashes the first 300 picks that reach _axis_step, spied as
 (is a column axis, first, second) with no second line stored as -1, and
-records solve's iters at check_every 10.  The expected values were
-recorded before the selection pipeline was unified, so they pin the pick
-sequences across it.
+records solve's iters at check_every 10 and the hash of its history (every
+check's k, residual norms and rse, as float64 bytes).  The pick and iters
+values were recorded before the selection pipeline was unified, so they pin
+the pick sequences across it; the history values pin the reported norms
+bit for bit.
 """
 
 import hashlib
@@ -123,6 +125,60 @@ GOLDEN = {
 
 }
 
+# (problem, kind): first 16 hex digits of the sha256 of solve's history
+HISTORY = {
+    ("tall", "REK"): "c39c6c346506e860",
+    ("tall", "TREK_ALT"): "dc89ff2b68d8794a",
+    ("tall", "TREKS"): "d83343d63140bec6",
+    ("tall", "GREK"): "89833b3b6fd3005e",
+    ("tall", "SREK"): "05f8027cff40c12c",
+    ("tall", "TGREK"): "dce377498b6fcf79",
+    ("tall", "TSREK"): "099cc2b28bb26d9b",
+    ("tall", "TSREKS"): "197440a0af04f0e3",
+    ("tall", "RK"): "176e42c8d4e44168",
+    ("tall", "TRKS"): "3362c2f85df7aef3",
+    ("tall", "TGRK"): "09704317de5f34da",
+    ("tall", "TSRK"): "eb515d0db171622c",
+    ("tall", "TSRKS"): "b51fdf14ce4edeaf",
+    ("tall", "GPROJ"): "8d912be0cb792c06",
+    ("tall", "SPROJ"): "17eed54416c2c627",
+    ("wide", "REK"): "de23f130fbfcb31a",
+    ("wide", "TREK_ALT"): "eb8a5f741cc47b4b",
+    ("wide", "TREKS"): "10c8e29b0cb854c9",
+    ("wide", "GREK"): "9198e538c31aa97f",
+    ("wide", "SREK"): "395bf8a42bb20eb0",
+    ("wide", "TGREK"): "3464f8b4ff4317d1",
+    ("wide", "TSREK"): "17fe2f8ff17e916e",
+    ("wide", "TSREKS"): "77e8ecc8faae274a",
+    ("wide", "RK"): "734dd8a3d1f84b5c",
+    ("wide", "TRKS"): "81245c67421ae02c",
+    ("wide", "TGRK"): "82e03fa478922435",
+    ("wide", "TSRK"): "1a9cce39631a28a7",
+    ("wide", "TSRKS"): "c53a937fb981962c",
+    ("wide", "GPROJ"): "7b4004a5d299d7fd",
+    ("wide", "SPROJ"): "206d9269ce446e48",
+    ("tomo", "REK"): "d0abaeef3838aaac",
+    ("tomo", "TREK_ALT"): "3aa8e802aeaccc93",
+    ("tomo", "TREKS"): "828febe073d0be2c",
+    ("tomo", "GREK"): "b2f7220684f7b4f4",
+    ("tomo", "SREK"): "5886ac40f56326d3",
+    ("tomo", "TGREK"): "73a2bd33d8e0bda2",
+    ("tomo", "TSREK"): "43fcdd4e96ed4099",
+    ("tomo", "TSREKS"): "80bce6ba4016cbc2",
+    ("tomo", "RK"): "9788bddd19354814",
+    ("tomo", "TRKS"): "6f5e4014b958d70d",
+    ("tomo", "TGRK"): "c9355905d42876d9",
+    ("tomo", "TSRK"): "5c3d1e1c1c98d13b",
+    ("tomo", "TSRKS"): "05d5aebdd6800018",
+    ("tomo", "GPROJ"): "15f26df592f09ead",
+    ("tomo", "SPROJ"): "96e50e9b5467c0c2",
+}
+
+
+def _history_hash(rec):
+    data = np.asarray(rec.history, dtype="<f8").tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
 
 def _pick_hash(monkeypatch, kind, problem):
     caches = build_caches(problem.A, kind)
@@ -150,3 +206,4 @@ def test_golden_trajectory(monkeypatch, name, kind):
     problem = PROBLEMS[name]()
     rec = solve(kind, problem, SOLVE_CONFIG, seed=SEED)
     assert (_pick_hash(monkeypatch, kind, problem), rec.iters) == GOLDEN[name, kind.value]
+    assert _history_hash(rec) == HISTORY[name, kind.value]
