@@ -147,7 +147,13 @@ class DualSparseMatrix:
         self.rows = int(rows)
         self.cols = int(cols)
 
-        order = np.lexsort((j, i))  # row-major
+        # Row-major: one stable sort on the key i * cols + j gives the
+        # permutation of np.lexsort((j, i)) at a fraction of its cost; the
+        # key would overflow int64 from rows * cols >= 2^63.
+        if self.rows * self.cols < 2**63:
+            order = np.argsort(i * self.cols + j, kind="stable")
+        else:
+            order = np.lexsort((j, i))
         ri, rj, rv = i[order], j[order], v[order]
         del order
         if ri.size > 1 and np.any((ri[1:] == ri[:-1]) & (rj[1:] == rj[:-1])):

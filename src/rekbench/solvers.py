@@ -2,22 +2,22 @@
 
 One step takes each axis the kind steps on in turn, rows first, each an
 AxisCache that build_caches plans once per run: it selects one or two
-lines, then steps x against r = b - z - Ax (rows) or z against g = A^T z
-(columns).  A row step writes only x and r, which no column selection
-reads, and no step draws from the generator; so both axes pick from the
-state at the start of the step, and the row step's b_i - z_i uses the
-pre-step z.
+lines, then steps x against r = b - z - Ax (rows) or z against s = -A^T z
+(columns), the residual of A^T z = 0.  A row step writes only x and r,
+which no column selection reads, and no step draws from the generator; so
+both axes pick from the state at the start of the step, and the row step's
+b_i - z_i uses the pre-step z.
 
 A kind keeps the shifted residual r = b - z - Ax of its row axis, or the
-dual residual g = A^T z of its column axis, up to date only where it pays:
+dual residual s = -A^T z of its column axis, up to date only where it pays:
 when its rule reads the whole axis (greedy, argmax), or when the cached
 Gram matrix of that axis, the shorter one of a dense A, updates it from
 two of its rows in O(min(m, n)).  Otherwise a step forms just the entries
 it reads from x and z: r_i = b_i - z_i - a_i x for the drawn or sampled
-rows, g_j = a_j^T z for the drawn or sampled columns.  So the norm rules
+rows, s_j = -a_j^T z for the drawn or sampled columns.  So the norm rules
 (REK, TREK_ALT, TREKS, RK, TRKS) and the sampled top rule (TSREKS, TSRKS)
 pay per step for the lines they draw or sample, not for a product with A.
-Every convergence check recomputes r and g from x and z, which also
+Every convergence check recomputes r and s from x and z, which also
 flushes drift.
 
 Every weighted rule draws from one CDF over its domain: by squared norm
@@ -63,7 +63,7 @@ class Method:
     rule: str
     pair: bool
     rows: bool  # steps x against r = b - z - Ax (or b - Ax without z)
-    cols: bool  # steps z against g = A^T z
+    cols: bool  # steps z against s = -A^T z
 
 
 _ROWS = {
@@ -134,7 +134,7 @@ class AxisCache:
         if steps and not A.is_sparse and (A.rows < A.cols if row else A.cols <= A.rows):
             values = A.values
             self.gram = values @ values.T if row else values.T @ values
-        # Whether the kind keeps this axis's residual (r or g) up to date: it
+        # Whether the kind keeps this axis's residual (r or s) up to date: it
         # steps on the axis, and its rule reads the whole residual or gram
         # updates it.  Otherwise a step forms only the entries it reads.
         self.kept = steps and (self.rule in _WHOLE_AXIS_RULES or self.gram is not None)
@@ -177,7 +177,7 @@ class SolverState:
     x: np.ndarray | None  # None without row steps
     z: np.ndarray | None  # None without column steps
     r: np.ndarray | None  # b - z - Ax (b - Ax without z); None without x
-    g: np.ndarray | None  # A^T z; None without z
+    s: np.ndarray | None  # -A^T z; None without z
     k: int
     rng: np.random.Generator
 
@@ -188,15 +188,15 @@ class SolverState:
         m, n = problem.A.shape
         b = np.asarray(problem.b, dtype=np.float64)
         gen = rngmod.stream(seed, rngmod.method_tag(kind.value))
-        x = z = r = g = None
+        x = z = r = s = None
         if method.cols:
             z = b.copy()
-            g = problem.A.rmatvec(z)
+            s = -problem.A.rmatvec(z)
         if method.rows:
             x = np.zeros(n)
             # x0 = 0, so r0 = b - z0: exactly 0 when z0 = b.
             r = np.zeros(m) if method.cols else b.copy()
-        return cls(kind, x, z, r, g, 0, gen)
+        return cls(kind, x, z, r, s, 0, gen)
 
     def refresh(self, problem):
         """Recompute the maintained residual vectors from x and z."""
@@ -204,7 +204,7 @@ class SolverState:
         if self.x is not None:
             self.r = (b if self.z is None else b - self.z) - A.matvec(self.x)
         if self.z is not None:
-            self.g = A.rmatvec(self.z)
+            self.s = -A.rmatvec(self.z)
 
 
 @dataclass
@@ -235,23 +235,23 @@ def rse(x, x_star):
 
 
 def _entries(ax, state, problem, idx):
-    """Entries idx (an index array) of r for a row axis, of g = A^T z for a column axis.
+    """Entries idx (an index array) of r for a row axis, of s = -A^T z for a column axis.
 
     A kept residual is read; otherwise r_i = b_i - z_i - a_i x (b_i - a_i x
-    without z) and g_j = a_j^T z are formed from the current x and z.
+    without z) and s_j = -a_j^T z are formed from the current x and z.
     """
     if ax.kept:
-        return (state.r if ax.row else state.g)[idx]
+        return (state.r if ax.row else state.s)[idx]
     if ax.row:
         b = problem.b[idx]
         return (b if state.z is None else b - state.z[idx]) - ax.dots(idx, state.x)
-    return ax.dots(idx, state.z)
+    return -ax.dots(idx, state.z)
 
 
 def _select(ax, state, problem, caches, config):
     """The chosen lines of the axis ax, (i,) or a distinct pair (i1, i2); None to skip.
 
-    A row axis scores r against row norms; a column axis scores g = A^T z
+    A row axis scores r against row norms; a column axis scores s = -A^T z
     against column norms.  The domain is the nonzero lines of the axis, a
     simple random sample of them (an axis of one line is its own sample) or
     the greedy index set.  The pick is a CDF draw over the domain or its
@@ -267,7 +267,7 @@ def _select(ax, state, problem, caches, config):
         return None
 
     if rule in _WHOLE_AXIS_RULES:
-        residual = state.r if ax.row else state.g
+        residual = state.r if ax.row else state.s
         residual_sq, scores = scores_from_residual(
             residual, ax.sq_norms, (ax.residual_sq, ax.scores), ax.positive
         )
@@ -310,44 +310,32 @@ def _axis_step(state, problem, caches, ax, idx):
     """Step on the lines idx of the axis ax, as _select returns them: (i1,) or (i1, i2).
 
     A row step moves x by a combination of rows that zeroes the chosen
-    entries of r.  A column step moves z by a combination of columns that
-    zeroes the chosen entries of g = A^T z: the same 2x2 system on the
-    column Gram entries, with -g as its residual.  Either falls back to
-    the 1-D step on i1 when the pair is parallel.  Only the residuals the
-    kind keeps are updated: from the Gram rows of the chosen lines where
-    the axis has them, else with one product.
+    entries of r, a column step z by a combination of columns that zeroes
+    the chosen entries of s = -A^T z: one 2x2 system on the Gram entries of
+    the pair, or the 1-D step on i1 when the pair is parallel.  Only the
+    residuals the kind keeps are updated: from the Gram rows of the chosen
+    lines where the axis has them, else with one product.
     """
     i1 = idx[0]
-    if ax.kept:
-        residual, at = (state.r if ax.row else state.g), idx
-    else:
-        residual, at = _entries(ax, state, problem, np.array(idx)), (0, 1)
-    # Negation is exact, so the column formulas see -g bit for bit.
-    sign = 1.0 if ax.row else -1.0
-    r1 = sign * float(residual[at[0]])
-    n1 = float(ax.sq_norms[i1])
+    chosen = _entries(ax, state, problem, np.array(idx))
+    r1, n1 = float(chosen[0]), float(ax.sq_norms[i1])
     coeffs = None
     if len(idx) == 2:
         i2 = idx[1]
-        dot = ax.pair_dot(i1, i2)
-        r2 = sign * float(residual[at[1]])
-        coeffs = two_dim_row_coeffs(dot, n1, float(ax.sq_norms[i2]), r1, r2)
+        n2, r2 = float(ax.sq_norms[i2]), float(chosen[1])
+        coeffs = two_dim_row_coeffs(ax.pair_dot(i1, i2), n1, n2, r1, r2)
     if coeffs is None:
         c = r1 / n1
         if c == 0.0:
             return
         idx, coeffs = (i1,), (c,)
     move = ax.combination(idx, coeffs)
-    if ax.row:
-        state.x += move
-        if ax.kept:
-            state.r -= ax.product(move) if ax.gram is None else combine_lines(ax.gram, idx, coeffs)
-    else:
-        state.z += move
-        if caches.rows.kept:
-            state.r -= move
-        if ax.kept:
-            state.g += ax.product(move) if ax.gram is None else combine_lines(ax.gram, idx, coeffs)
+    iterate, residual = (state.x, state.r) if ax.row else (state.z, state.s)
+    iterate += move
+    if not ax.row and caches.rows.kept:
+        state.r -= move
+    if ax.kept:
+        residual -= ax.product(move) if ax.gram is None else combine_lines(ax.gram, idx, coeffs)
 
 
 def step(state, problem, caches, config):
@@ -365,14 +353,14 @@ def step(state, problem, caches, config):
 
 
 def _residual_norms(state):
-    """(primary, dual) norms of the state's r and g; nan where not kept."""
-    return tuple(math.nan if v is None else float(np.linalg.norm(v)) for v in (state.r, state.g))
+    """(primary, dual) norms of the state's r and s; nan where not kept."""
+    return tuple(math.nan if v is None else float(np.linalg.norm(v)) for v in (state.r, state.s))
 
 
 def converged(state, problem, caches, config, norms=None):
-    """The stopping criteria for the state's method, on its r and g.
+    """The stopping criteria for the state's method, on its r and s.
 
-    The caller refreshes the state first, so r and g are the fresh
+    The caller refreshes the state first, so r and s are the fresh
     residuals of x and z rather than the incrementally maintained ones.
     norms, when given, is their _residual_norms pair.
     """
@@ -428,7 +416,7 @@ def solve(kind, problem, config=None, seed=0):
                 done = True
                 break
     wall = time.perf_counter() - t0
-    # The record takes the last check's norms (of the fresh initial r and g at 0 steps).
+    # The record takes the last check's norms (of the fresh initial r and s at 0 steps).
     primary, dual = norms
     final_rse = _current_rse(state, problem)
     return RunRecord(

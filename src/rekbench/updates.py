@@ -1,12 +1,11 @@
 """The closed-form 2-D update of a pair of lines, with its parallel test.
 
 A 2-D step moves along two rows (or two columns) of A at once.  Its
-coefficients solve the 2x2 Gram system of the pair in closed form: for
-rows, they zero both chosen shifted residuals (Petrov-Galerkin
-condition); for columns, with -A^T z as the residual, they annihilate
-both chosen column inner products with z.  A numerically parallel pair
-has no 2-D step: the kernel returns None, and the solver takes the 1-D
-step instead.
+coefficients solve the 2x2 Gram system of the pair in closed form: they
+zero both chosen entries of the axis's residual, r = b - z - Ax for rows
+(Petrov-Galerkin condition) or s = -A^T z for columns, so the chosen
+columns end orthogonal to z.  A numerically parallel pair has no 2-D
+step: the kernel returns None, and the solver takes the 1-D step instead.
 """
 
 from __future__ import annotations

@@ -125,7 +125,7 @@ def test_solve_forms_fresh_residuals_once_per_check(monkeypatch, known_solution)
     assert len(rec.history) == 10
     rses = [row[3] for row in rec.history]
     assert all(math.isfinite(v) if known_solution else math.isnan(v) for v in rses)
-    # One A x and one A^T z per check; the initial g = A^T b is the extra rmatvec.
+    # One A x and one A^T z per check; the initial s = -A^T b is the extra rmatvec.
     assert A.calls == {"matvec": 10, "rmatvec": 11}
 
 
@@ -329,10 +329,10 @@ def test_incremental_residuals_match_fresh():
     for _ in range(50):
         step(state, problem, caches, StopConfig())
     fresh_r = problem.b - state.z - problem.A.matvec(state.x)
-    fresh_g = problem.A.rmatvec(state.z)
+    fresh_s = -problem.A.rmatvec(state.z)
     scale = max(np.linalg.norm(problem.b), 1.0)
     assert np.linalg.norm(state.r - fresh_r) <= 1e-9 * scale
-    assert np.linalg.norm(state.g - fresh_g) <= 1e-9 * scale * np.sqrt(caches.norms.frob_sq)
+    assert np.linalg.norm(state.s - fresh_s) <= 1e-9 * scale * np.sqrt(caches.norms.frob_sq)
 
 
 def _upkeep_matrix(shape):
@@ -352,7 +352,7 @@ WHOLE_AXIS_RULES = ("greedy", "argmax")
 
 
 def _keeps(kind, shape):
-    """(keeps r, keeps g) on an _upkeep_matrix shape: a whole-axis rule, or a Gram axis."""
+    """(keeps r, keeps s) on an _upkeep_matrix shape: a whole-axis rule, or a Gram axis."""
     method = METHODS[kind]
     whole = method.rule in WHOLE_AXIS_RULES
     return (
@@ -372,14 +372,14 @@ def test_maintained_residuals_match_fresh(kind, shape):
         step(state, problem, caches, StopConfig(fraction=0.25))
     x_norm = 0.0 if state.x is None else np.linalg.norm(state.x)
     bound = 4 * np.finfo(float).eps * caches.norms.frob_sq * (x_norm + np.linalg.norm(problem.b))
-    keeps_r, keeps_g = _keeps(kind, shape)
+    keeps_r, keeps_s = _keeps(kind, shape)
     if keeps_r:
         fresh_r = problem.b - A.matvec(state.x)
         if state.z is not None:
             fresh_r -= state.z
         assert np.linalg.norm(state.r - fresh_r) <= bound
-    if keeps_g:
-        assert np.linalg.norm(state.g - A.rmatvec(state.z)) <= bound
+    if keeps_s:
+        assert np.linalg.norm(state.s + A.rmatvec(state.z)) <= bound
 
 
 @pytest.mark.parametrize("shape", ["tall", "wide", "square", "sparse"])
@@ -388,12 +388,12 @@ def test_gram_only_for_a_maintained_short_axis(kind, shape):
     A = _upkeep_matrix(shape)
     caches = build_caches(A, kind)
     keeps_r = kind not in PROJECTION_KINDS
-    keeps_g = kind not in CONSISTENT_KINDS
+    keeps_s = kind not in CONSISTENT_KINDS
     # A square A ties, and the tie goes to the columns.
     if shape in ("tall", "square"):
         assert caches.rows.gram is None
-        assert (caches.cols.gram is not None) == keeps_g
-        if keeps_g:
+        assert (caches.cols.gram is not None) == keeps_s
+        if keeps_s:
             assert np.allclose(caches.cols.gram, A.values.T @ A.values)
     elif shape == "wide":
         assert caches.cols.gram is None
@@ -420,7 +420,7 @@ def _poisoned_solve(monkeypatch, kind, problem, config, poison):
 
     def poisoning_step(state, *args):
         states.append(state)
-        for name, keeps in zip(("r", "g"), poison):
+        for name, keeps in zip(("r", "s"), poison):
             if getattr(state, name) is not None and not keeps:
                 setattr(state, name, np.full_like(getattr(state, name), np.nan))
         return original_step(state, *args)

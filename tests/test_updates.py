@@ -25,7 +25,7 @@ def row_step(A, x, rhs, i1, i2=None):
 def col_step(A, z, j1, j2=None):
     """z after the solver's column step at (j1, j2)."""
     z = np.array(z, dtype=np.float64)
-    state = SolverState(SolverKind.GPROJ, None, z, None, A.rmatvec(z), 0, None)
+    state = SolverState(SolverKind.GPROJ, None, z, None, -A.rmatvec(z), 0, None)
     caches = build_caches(A, SolverKind.GPROJ)
     _axis_step(state, LsProblem(A=A, b=z), caches, caches.cols, (j1,) if j2 is None else (j1, j2))
     return state.z
@@ -38,8 +38,8 @@ def row_coeffs(A, i1, i2, r1, r2):
 
 def col_coeffs(A, j1, j2, z):
     norms = build_norm_cache(A).col_sq_norms
-    g = A.rmatvec(z)
-    return two_dim_row_coeffs(A.col_pair_dot(j1, j2), norms[j1], norms[j2], -g[j1], -g[j2])
+    s = -A.rmatvec(z)
+    return two_dim_row_coeffs(A.col_pair_dot(j1, j2), norms[j1], norms[j2], s[j1], s[j2])
 
 
 def test_row_update_identity():
