@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rekbench import linalg
 from rekbench.linalg import (
     DenseMatrix,
     DualSparseMatrix,
@@ -98,6 +99,18 @@ def test_norm_cache_naive_double_loop():
 )
 def test_norm_cache_dense_bitwise_matches_squared_sums(shape):
     vals = np.random.Generator(np.random.Philox(sum(shape))).standard_normal(shape)
+    cache = build_norm_cache(DenseMatrix(vals))
+    sq = vals**2
+    assert np.array_equal(cache.row_sq_norms, sq.sum(axis=1))
+    assert np.array_equal(cache.col_sq_norms, sq.sum(axis=0))
+    assert cache.frob_sq == float(sq.sum(axis=1).sum())
+
+
+@pytest.mark.parametrize("rows", [1, 3, 16, 256, "m + 1"])
+@pytest.mark.parametrize("shape", [(300, 70), (70, 300), (257, 1), (1, 257)])
+def test_norm_cache_dense_bits_do_not_depend_on_the_block(monkeypatch, shape, rows):
+    vals = np.random.Generator(np.random.Philox(shape[0] + 2 * shape[1])).standard_normal(shape)
+    monkeypatch.setattr(linalg, "NORM_BLOCK_ROWS", shape[0] + 1 if rows == "m + 1" else rows)
     cache = build_norm_cache(DenseMatrix(vals))
     sq = vals**2
     assert np.array_equal(cache.row_sq_norms, sq.sum(axis=1))
