@@ -8,8 +8,11 @@ sparse kernel has one body that serves rows and columns alike.
 Dense matrices wrap a contiguous row-major 2-D array, so their access is
 not symmetric: a row is a contiguous view and a column a strided one (on
 2000 x 500, scaling a column takes about 8 us, a row about 1.5 us).  The
-module also hosts the desk-scale direct least-squares and Gram-eigenvalue
-oracles used for ground truth.
+module also hosts the norm cache and the desk-scale direct least-squares
+and Gram-eigenvalue oracles used for ground truth.  Their memory is bounded
+by what they return: the norm cache squares a dense A about 64 KB at a
+time, and the oracles read a dense A's own array, so LAPACK's working copy
+is the only one.
 """
 
 from __future__ import annotations
@@ -257,28 +260,34 @@ class NormCache:
     frob_sq: float
 
 
-NORM_BLOCK_ROWS = 256
+# Bytes of a dense A that build_norm_cache squares at a time: 8192 entries.
+NORM_BLOCK_BYTES = 65536
 
 
 def build_norm_cache(A) -> NormCache:
     """Squared row/column norms and the squared Frobenius norm of A.
 
-    A dense A is squared NORM_BLOCK_ROWS rows at a time, not as a whole
-    m x n temporary.  The column sums carry from block to block and add
-    rows in the same order as (A**2).sum(axis=0), so the bits are the same.
+    A dense A is squared about NORM_BLOCK_BYTES at a time, in blocks of
+    max(1, 8192 // n) whole rows, into one reused buffer whose first row
+    carries the column sums.  The column sums add the rows in the same
+    order as (A**2).sum(axis=0), so the bits are the same whatever the
+    block, and no temporary grows with the row count.
     """
     if A.is_sparse:
         sq = A.csr_data**2
         row_sq = np.bincount(A.csr_rowids, weights=sq, minlength=A.rows)
         col_sq = np.bincount(A.csr_indices, weights=sq, minlength=A.cols)
     else:
+        step = max(1, NORM_BLOCK_BYTES // (8 * A.cols))
         row_sq = np.empty(A.rows)
-        col_sq = np.zeros(A.cols)
-        for start in range(0, A.rows, NORM_BLOCK_ROWS):
-            block = slice(start, start + NORM_BLOCK_ROWS)
-            sq = A.values[block] ** 2
-            row_sq[block] = sq.sum(axis=1)
-            col_sq = np.concatenate([col_sq[None], sq]).sum(axis=0)
+        buf = np.zeros((min(step, A.rows) + 1, A.cols))
+        for start in range(0, A.rows, step):
+            block = A.values[start : start + step]
+            sq = buf[1 : 1 + len(block)]
+            np.square(block, out=sq)
+            row_sq[start : start + len(block)] = sq.sum(axis=1)
+            buf[0] = buf[: 1 + len(block)].sum(axis=0)
+        col_sq = buf[0].copy()
         if A.cols == 1:
             # One column is a contiguous vector, which numpy sums pairwise.
             col_sq = row_sq.sum(keepdims=True)
@@ -300,10 +309,20 @@ def direct_least_squares(A, b):
     return _lstsq(A, b)[0]
 
 
+def _dense_values(A):
+    """A's entries as a 2-D array, once A passes the oracle cap.
+
+    A dense A gives its own array, which the oracles only read (LAPACK works
+    on a copy of its own), so an oracle does not copy A twice; a sparse A is
+    densified.
+    """
+    _check_oracle_cap(A)
+    return A.to_dense() if A.is_sparse else A.values
+
+
 def _lstsq(A, b):
     """(direct_least_squares(A, b), the numerical rank of A that its SVD found)."""
-    _check_oracle_cap(A)
-    x, _, rank, _ = np.linalg.lstsq(A.to_dense(), np.asarray(b, dtype=np.float64), rcond=None)
+    x, _, rank, _ = np.linalg.lstsq(_dense_values(A), np.asarray(b, dtype=np.float64), rcond=None)
     return x, rank
 
 
@@ -313,8 +332,11 @@ def gram_extreme_eigenvalues(A):
     Eigenvalues below 1e-12 * lambda_max are treated as zero (rank
     tolerance for the pseudoinverse/"nonzero minimal eigenvalue" notion).
     """
-    _check_oracle_cap(A)
-    dense = A.to_dense()
+    return _gram_extremes(_dense_values(A))
+
+
+def _gram_extremes(dense):
+    """gram_extreme_eigenvalues of the matrix whose entries are the 2-D array dense."""
     evals = np.linalg.eigvalsh(dense.T @ dense)
     evals = np.clip(evals, 0.0, None)
     lam_max = float(evals[-1])

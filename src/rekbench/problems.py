@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
 
@@ -223,36 +224,55 @@ def _parse_matrix_market(src):
         return [] if words and words[0].startswith("%") else words
 
     def _walk():
-        """Check the data from the size line down; raise its first error, else the count error."""
-        seen, found, ln = set(), 0, size_line_no
+        """Check the data from the size line down; raise its first error, else the count error.
+
+        Each coordinate entry whose line passes is kept as two int64 numbers,
+        its row-major cell and its line, not as a Python object; the first
+        cell that repeats an earlier one, found by one stable sort, outranks
+        the error that ends the walk.
+        """
+        fits = m * n <= 2**63
+        cells = array("q") if fits else []  # a cell number past int64 stays a Python int
+        line_nos, found, ln = array("q"), 0, size_line_no
         src.seek(0)
         data = islice(chain.from_iterable(_line_blocks(src)), size_line_no, None)
-        for ln, words in enumerate(map(_words, data), size_line_no + 1):
-            if coordinate and words:
-                if len(words) != 3:
-                    raise MatrixMarketError("coordinate entry needs 'i j value'", ln)
-                try:
-                    i, j = _number(int, words[0]), _number(int, words[1])
-                except ValueError:
-                    raise MatrixMarketError("malformed coordinate entry", ln) from None
-            for word in words[2:] if coordinate else words:
-                try:
-                    value = _number(float, word)
-                except ValueError:
-                    raise MatrixMarketError(f"malformed value {word!r}", ln) from None
-                if not math.isfinite(value):
-                    raise MatrixMarketError(f"non-finite value {word!r}", ln)
-                found += 1
-            if coordinate and words:
-                if not (1 <= i <= m and 1 <= j <= n):
-                    raise MatrixMarketError(f"index ({i}, {j}) out of range for {m}x{n}", ln)
-                if symmetric and j > i:
-                    raise MatrixMarketError("symmetric entry above the diagonal", ln)
-                if (i, j) in seen:
-                    raise MatrixMarketError(f"duplicate entry ({i}, {j})", ln)
-                seen.add((i, j))
-        unit = "entries" if coordinate else "values"
-        raise MatrixMarketError(f"expected {expected} {unit}, found {found}", ln)
+        try:
+            for ln, words in enumerate(map(_words, data), size_line_no + 1):
+                if coordinate and words:
+                    if len(words) != 3:
+                        raise MatrixMarketError("coordinate entry needs 'i j value'", ln)
+                    try:
+                        i, j = _number(int, words[0]), _number(int, words[1])
+                    except ValueError:
+                        raise MatrixMarketError("malformed coordinate entry", ln) from None
+                for word in words[2:] if coordinate else words:
+                    try:
+                        value = _number(float, word)
+                    except ValueError:
+                        raise MatrixMarketError(f"malformed value {word!r}", ln) from None
+                    if not math.isfinite(value):
+                        raise MatrixMarketError(f"non-finite value {word!r}", ln)
+                    found += 1
+                if coordinate and words:
+                    if not (1 <= i <= m and 1 <= j <= n):
+                        raise MatrixMarketError(f"index ({i}, {j}) out of range for {m}x{n}", ln)
+                    if symmetric and j > i:
+                        raise MatrixMarketError("symmetric entry above the diagonal", ln)
+                    cells.append((i - 1) * n + j - 1)
+                    line_nos.append(ln)
+            unit = "entries" if coordinate else "values"
+            raise MatrixMarketError(f"expected {expected} {unit}, found {found}", ln)
+        except MatrixMarketError as exc:
+            error = exc
+        keys = np.asarray(cells, dtype=np.int64 if fits else object)
+        order = np.argsort(keys, kind="stable")  # each cell's entries stay in file order
+        keys = keys[order]
+        repeats = order[1:][keys[1:] == keys[:-1]]
+        if repeats.size:
+            first = int(repeats.min())
+            i, j = divmod(cells[first], n)
+            raise MatrixMarketError(f"duplicate entry ({i + 1}, {j + 1})", line_nos[first])
+        raise error
 
     def _fill(block, found):
         """Parse a block into the buffers from index found on; return the count after it."""

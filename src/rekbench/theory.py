@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .linalg import build_norm_cache, gram_extreme_eigenvalues
+from .linalg import _dense_values, _gram_extremes, build_norm_cache
 from .problems import project_off_range
 from .solvers import (
     CONSISTENT_KINDS,
@@ -118,12 +118,13 @@ def compute_constants(A, sample=None):
             f"{m}x{n} exceeds the {PAIRWISE_CAP} pairwise-scan cap; "
             "pass a sample size for an approximate scan"
         )
-    # First, so that a matrix past the oracle cap is refused before any scan.
-    lam_min, lam_max = gram_extreme_eigenvalues(A)
+    # First, so that a matrix past the oracle cap is refused before any scan;
+    # a sparse A is densified once, a dense A's own array is read.
+    dense = _dense_values(A)
+    lam_min, lam_max = _gram_extremes(dense)
     norms = build_norm_cache(A)
     frob_sq = norms.frob_sq
     rng = rngmod.stream(0, rngmod.method_tag("constants_sample"))
-    dense = A.to_dense()
     delta, Delta = _coherence_extremes(dense, sample, rng)
     delta_t, Delta_t = _coherence_extremes(dense.T, sample, rng)
     row_sq = norms.row_sq_norms[norms.row_sq_norms > 0]

@@ -283,11 +283,21 @@ ENTRIES = [f"{i} {j} {i + j / 8}\n" for i, j in CELLS]
         ("4 0 1.0", "index (4, 0) out of range for 4x4"),
         ("99999999999999999999 1 1.0", "index (99999999999999999999, 1) out of range for 4x4"),
         ("2 1 1.0", "duplicate entry (2, 1)"),
+        # A repeated cell whose value fails is named by its value.
+        ("2 1 nan", "non-finite value 'nan'"),
     ],
 )
 def test_coordinate_error_on_the_last_line_reports_that_line(tmp_path, small_block, last, message):
     error = read_error(tmp_path, COORD + "".join(ENTRIES[:-1]) + last + "\n")
     assert (error.line_no, str(error)) == (10, f"line 10: {message}")
+
+
+@pytest.mark.parametrize("m", [2**32, 2**64 + 1])
+def test_duplicate_is_named_even_where_cell_numbers_pass_int64(tmp_path, m):
+    head = f"%%MatrixMarket matrix coordinate real general\n{m} {m} 3\n"
+    text = head + f"{m} 1 1.0\n1 1 2.0\n{m} 1 3.0\n"
+    error = read_error(tmp_path, text)
+    assert (error.line_no, str(error)) == (5, f"line 5: duplicate entry ({m}, 1)")
 
 
 def test_symmetric_entry_above_the_diagonal_reports_its_line(tmp_path, small_block):
@@ -441,35 +451,61 @@ def test_a_pipe_reads_as_its_file(tmp_path, small_block, text, error):
 
 
 # Reads in a fresh process the file at argv[1] and prints how far the read
-# raised VmHWM and the bytes of the arrays the matrix keeps.
+# raised VmHWM, then the bytes of the arrays the matrix keeps or the error.
 PEAK_SCRIPT = """
 import sys
 import numpy as np
-from rekbench.problems import read_matrix_market
+from rekbench.problems import MatrixMarketError, read_matrix_market
 
 def hwm():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmHWM"))
 
 before = hwm()
-A = read_matrix_market(sys.argv[1])
-print(hwm() - before, sum(a.nbytes for a in vars(A).values() if isinstance(a, np.ndarray)))
+try:
+    A = read_matrix_market(sys.argv[1])
+except MatrixMarketError as exc:
+    print(hwm() - before, exc)
+else:
+    print(hwm() - before, sum(a.nbytes for a in vars(A).values() if isinstance(a, np.ndarray)))
 """
 
 
-def test_read_is_bounded_in_memory(tmp_path):
+def peak(path):
+    """(VmHWM growth, the rest of PEAK_SCRIPT's line) of reading path in a fresh process."""
     if not Path("/proc/self/status").exists():
         pytest.skip("VmHWM is read from /proc")
-    g = np.random.Generator(np.random.Philox(4))
-    write_matrix_market(DenseMatrix(g.standard_normal((2000, 500))), tmp_path / "array.mtx")
+    src = str(Path(problems.__file__).resolve().parents[1])
+    cmd = [sys.executable, "-c", PEAK_SCRIPT, str(path)]
+    env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120, check=True)
+    growth, rest = proc.stdout.strip().split(" ", 1)
+    return int(growth), rest
+
+
+def write_coordinate(g, path):
+    """A 2000 x 1000 coordinate file of 200k entries at distinct random cells."""
     cells = g.choice(2000 * 1000, size=200_000, replace=False)
     values = g.standard_normal(cells.size)
-    sparse = DualSparseMatrix(2000, 1000, cells // 1000, cells % 1000, values)
-    write_matrix_market(sparse, tmp_path / "coordinate.mtx")
-    src = str(Path(problems.__file__).resolve().parents[1])
+    write_matrix_market(DualSparseMatrix(2000, 1000, cells // 1000, cells % 1000, values), path)
+
+
+def test_read_is_bounded_in_memory(tmp_path):
+    g = np.random.Generator(np.random.Philox(4))
+    write_matrix_market(DenseMatrix(g.standard_normal((2000, 500))), tmp_path / "array.mtx")
+    write_coordinate(g, tmp_path / "coordinate.mtx")
     for name in ("array.mtx", "coordinate.mtx"):
-        cmd = [sys.executable, "-c", PEAK_SCRIPT, str(tmp_path / name)]
-        env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120, check=True)
-        growth, stored = map(int, proc.stdout.split())
-        assert growth <= 3 * stored, (name, growth, stored)
+        growth, stored = peak(tmp_path / name)
+        assert growth <= 3 * int(stored), (name, growth, stored)
+
+
+def test_late_duplicate_is_named_in_bounded_memory(tmp_path):
+    # Finding the duplicate may cost 16 bytes per entry more than a clean read.
+    write_coordinate(np.random.Generator(np.random.Philox(4)), tmp_path / "clean.mtx")
+    lines = (tmp_path / "clean.mtx").read_text().splitlines(keepends=True)
+    (tmp_path / "late.mtx").write_text("".join(lines[:-1] + lines[2:3]))
+    i, j = lines[2].split()[:2]
+    clean, _ = peak(tmp_path / "clean.mtx")
+    growth, error = peak(tmp_path / "late.mtx")
+    assert error == f"line 200002: duplicate entry ({i}, {j})"
+    assert growth <= clean + 16 * 200_000, (growth, clean)

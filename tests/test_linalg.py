@@ -110,7 +110,8 @@ def test_norm_cache_dense_bitwise_matches_squared_sums(shape):
 @pytest.mark.parametrize("shape", [(300, 70), (70, 300), (257, 1), (1, 257)])
 def test_norm_cache_dense_bits_do_not_depend_on_the_block(monkeypatch, shape, rows):
     vals = np.random.Generator(np.random.Philox(shape[0] + 2 * shape[1])).standard_normal(shape)
-    monkeypatch.setattr(linalg, "NORM_BLOCK_ROWS", shape[0] + 1 if rows == "m + 1" else rows)
+    rows = shape[0] + 1 if rows == "m + 1" else rows
+    monkeypatch.setattr(linalg, "NORM_BLOCK_BYTES", 8 * shape[1] * rows)
     cache = build_norm_cache(DenseMatrix(vals))
     sq = vals**2
     assert np.array_equal(cache.row_sq_norms, sq.sum(axis=1))

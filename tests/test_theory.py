@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from rekbench import theory
-from rekbench.linalg import DenseMatrix, DualSparseMatrix, OracleTooLargeError, build_norm_cache
+from rekbench.linalg import (
+    DenseMatrix,
+    DualSparseMatrix,
+    OracleTooLargeError,
+    build_norm_cache,
+    direct_least_squares,
+    gram_extreme_eigenvalues,
+)
 from rekbench.problems import LsProblem, gen_gaussian, make_inconsistent_problem
 from rekbench.solvers import SolverKind, SolverState, StopConfig, build_caches, step
 from rekbench.theory import (
@@ -99,6 +106,35 @@ def test_constants_past_oracle_cap_refused_before_scans(monkeypatch):
     with pytest.raises(OracleTooLargeError):
         compute_constants(A, sample=50)
     assert scans == []
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+def test_oracles_give_the_same_bits_on_a_write_protected_array(shape):
+    g = np.random.Generator(np.random.Philox(shape[0]))
+    vals = g.standard_normal(shape)
+    b = g.standard_normal(shape[0])
+    writable = DenseMatrix(vals.copy())
+    vals.flags.writeable = False
+    frozen = DenseMatrix(vals)
+    assert not frozen.values.flags.writeable
+    assert direct_least_squares(frozen, b).tobytes() == direct_least_squares(writable, b).tobytes()
+    assert gram_extreme_eigenvalues(frozen) == gram_extreme_eigenvalues(writable)
+    assert compute_constants(frozen) == compute_constants(writable)
+
+
+def test_oracles_densify_a_sparse_matrix_once_and_a_dense_one_never(monkeypatch):
+    densified = []
+    for cls in (DenseMatrix, DualSparseMatrix):
+        monkeypatch.setattr(cls, "to_dense", lambda A, f=cls.to_dense: densified.append(A) or f(A))
+    A = gen_gaussian(30, 10, 1)
+    direct_least_squares(A, np.ones(30))
+    gram_extreme_eigenvalues(A)
+    compute_constants(A)
+    assert densified == []
+    rows = np.arange(30)
+    S = DualSparseMatrix(30, 10, rows, rows % 10, 1.0 + rows)
+    compute_constants(S)
+    assert densified == [S]
 
 
 def test_constants_sampled_flagged_approximate():
