@@ -31,12 +31,7 @@ from .problems import (
     save_problem,
 )
 from .solvers import SAMPLING_KINDS, SolverKind, StopConfig, solve
-from .theory import (
-    ConstantsTooLargeError,
-    compute_constants,
-    empirical_contraction,
-    rates_all,
-)
+from .theory import compute_constants, empirical_contraction, rates_all
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -290,11 +285,8 @@ def _cmd_bench(args):
 
 
 def _constants_payload(A, sample=None):
-    """(rates, JSON payload), or (None, the pairwise-cap error payload)."""
-    try:
-        consts = compute_constants(A, sample=sample)
-    except ConstantsTooLargeError as exc:
-        return None, {"error": str(exc), "note": "re-run with --sample for an approximate scan"}
+    """(rates, JSON payload) of A's constants."""
+    consts = compute_constants(A, sample=sample)
     rates = rates_all(consts)
     payload = {
         "constants": {
@@ -315,9 +307,13 @@ def _cmd_constants(args):
     if bool(args.matrix) == bool(args.problem):
         raise ValueError("constants needs exactly one of --matrix / --problem")
     A = read_matrix_market(args.matrix) if args.matrix else _load(args.problem).A
-    rates, payload = _constants_payload(A, sample=args.sample)
-    _print_json(payload, indent=2)
-    return EXIT_IO if rates is None else EXIT_OK
+    _print_json(_constants_payload(A, sample=args.sample)[1], indent=2)
+    return EXIT_OK
+
+
+def _within(means, errs, bound):
+    """Whether each mean ratio (NaN: left out) is at most bound + 3 stderr + 1e-12."""
+    return bool(np.all((means <= bound + 3 * errs + 1e-12) | np.isnan(means)))
 
 
 def _cmd_verify(args):
@@ -326,9 +322,6 @@ def _cmd_verify(args):
     problem = _load(args.problem)
     rates, payload = _constants_payload(problem.A)
     report = {"problem": problem.label, **payload}
-    if rates is None:
-        _print_json(report, indent=2)
-        return EXIT_IO
     checks = {}
     # Unclamped, as this check has always read it: rates.thm1_beta clamps
     # a vacuous (negative) bound to 0.
@@ -336,17 +329,16 @@ def _cmd_verify(args):
     means, errs = empirical_contraction(
         SolverKind.GPROJ, problem, args.trials, args.steps, args.seed
     )
-    ok = np.all((means <= thm1 + 3 * errs) | np.isnan(means))
     checks["thm1_gproj"] = {
         "bound": thm1,
         "mean_ratios": means.tolist(),
         "stderrs": errs.tolist(),
-        "pass": bool(ok),
+        "pass": _within(means, errs, thm1),
     }
     thm3 = rates.thm3_beta_hat
-    means3, _ = empirical_contraction(SolverKind.SPROJ, problem, 1, args.steps, args.seed)
-    ok3 = np.all((means3 <= thm3 + 1e-12) | np.isnan(means3))
-    checks["thm3_sproj"] = {"bound": thm3, "ratios": means3.tolist(), "pass": bool(ok3)}
+    means3, errs3 = empirical_contraction(SolverKind.SPROJ, problem, 1, args.steps, args.seed)
+    ok3 = _within(means3, errs3, thm3)
+    checks["thm3_sproj"] = {"bound": thm3, "ratios": means3.tolist(), "pass": ok3}
     # A vacuous (negative) rate bounds nothing: its check is reported
     # but cannot fail the report.
     for name, rate in (("thm1_gproj", "thm1_beta"), ("thm3_sproj", "thm3_beta_hat")):

@@ -294,13 +294,6 @@ def build_norm_cache(A) -> NormCache:
     return NormCache(row_sq, col_sq, float(row_sq.sum()))
 
 
-def _check_oracle_cap(A):
-    if A.rows > ORACLE_MAX_ROWS or A.cols > ORACLE_MAX_COLS:
-        raise OracleTooLargeError(
-            f"{A.rows}x{A.cols} exceeds the {ORACLE_MAX_ROWS}x{ORACLE_MAX_COLS} oracle cap"
-        )
-
-
 def direct_least_squares(A, b):
     """Minimum-norm least-squares solution of min ||b - Ax|| (dense SVD).
 
@@ -314,9 +307,12 @@ def _dense_values(A):
 
     A dense A gives its own array, which the oracles only read (LAPACK works
     on a copy of its own), so an oracle does not copy A twice; a sparse A is
-    densified.
+    densified.  The oracles and the theory constants have no other size cap.
     """
-    _check_oracle_cap(A)
+    if A.rows > ORACLE_MAX_ROWS or A.cols > ORACLE_MAX_COLS:
+        raise OracleTooLargeError(
+            f"{A.rows}x{A.cols} exceeds the {ORACLE_MAX_ROWS}x{ORACLE_MAX_COLS} oracle cap"
+        )
     return A.to_dense() if A.is_sparse else A.values
 
 

@@ -260,6 +260,8 @@ def _parse_matrix_market(src):
                         raise MatrixMarketError("symmetric entry above the diagonal", ln)
                     cells.append((i - 1) * n + j - 1)
                     line_nos.append(ln)
+            if found == expected:  # sound data: A is too large to store
+                raise MatrixMarketError(f"{size_text}: too large to store", size_line_no)
             unit = "entries" if coordinate else "values"
             raise MatrixMarketError(f"expected {expected} {unit}, found {found}", ln)
         except MatrixMarketError as exc:
@@ -359,9 +361,7 @@ def _parse_matrix_market(src):
                 out[j:, j] = out[j, j:] = bufs[0][pos : pos + (m - j)]
                 pos += m - j
         return DenseMatrix(out)
-    except MemoryError:
-        raise MatrixMarketError(f"{size_text}: too large to store", size_line_no) from None
-    except ValueError:  # a non-finite value, an index out of range or a duplicate
+    except (MemoryError, ValueError):  # too large, or a bad value, index or duplicate
         pass  # walked once the handler has dropped the traceback and the frames it holds
     _walk()
 

@@ -2,7 +2,7 @@
 Monte-Carlo machinery to compare empirical contraction against them.
 
 Coherence extremes (delta, Delta and their column analogs) come from an
-exact pairwise scan up to a size cap; tau quantities are the Frobenius
+exact pairwise scan up to the oracle cap; tau quantities are the Frobenius
 norm squared minus extreme row/column norms; lambda_min is the smallest
 nonzero eigenvalue of the Gram matrix.  TheoryConstants also carries
 |A|_F^2, so every rate is a function of the constants alone.  Rates that
@@ -31,12 +31,7 @@ from .solvers import (
 )
 from .updates import pair_geometry_from
 
-PAIRWISE_CAP = 4000
 _BLOCK = 256
-
-
-class ConstantsTooLargeError(ValueError):
-    """Exact pairwise coherence scan refused beyond the size cap."""
 
 
 @dataclass(frozen=True)
@@ -86,11 +81,13 @@ def _coherence_extremes(dense, sample=None, rng=None):
         keep = np.sort(rng.choice(keep, size=sample, replace=False))
     if keep.size < 2:
         return 0.0, 0.0
-    unit = dense[keep] / norms[keep][:, None]
+    unit = dense[keep]  # a copy, normalized in place
+    unit /= norms[keep][:, None]
     lo, hi = np.inf, 0.0
     for start in range(0, unit.shape[0], _BLOCK):
         block = unit[start : start + _BLOCK]
-        prods = np.abs(block @ unit.T)
+        prods = block @ unit.T
+        np.abs(prods, out=prods)
         # Mask the self-pairs on this block's diagonal strip.
         diag = np.arange(block.shape[0])
         prods[diag, start + diag] = np.nan
@@ -106,20 +103,13 @@ def _coherence_combination(lo, hi):
 def compute_constants(A, sample=None):
     """Exact TheoryConstants, or a flagged sampled approximation.
 
-    sample=None scans all row/column pairs (O(m^2 + n^2) pairs, capped);
-    an integer subsamples that many rows/columns uniformly and marks the
-    result approximate.
+    sample=None scans all row/column pairs (O(m^2 + n^2) pairs); an integer
+    subsamples that many rows/columns uniformly and marks the result
+    approximate.  Either way an A past the oracle cap raises first.
     """
-    m, n = A.shape
     if sample is not None and sample < 2:
         raise ValueError(f"sample must be at least 2 lines to hold a pair, got {sample}")
-    if sample is None and (m > PAIRWISE_CAP or n > PAIRWISE_CAP):
-        raise ConstantsTooLargeError(
-            f"{m}x{n} exceeds the {PAIRWISE_CAP} pairwise-scan cap; "
-            "pass a sample size for an approximate scan"
-        )
-    # First, so that a matrix past the oracle cap is refused before any scan;
-    # a sparse A is densified once, a dense A's own array is read.
+    # First: the oracle cap refuses A before any scan, and a sparse A is densified once.
     dense = _dense_values(A)
     lam_min, lam_max = _gram_extremes(dense)
     norms = build_norm_cache(A)

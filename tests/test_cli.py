@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from rekbench import cli, linalg, problems, theory
+from rekbench import cli, linalg, problems
 from rekbench.cli import main
 from rekbench.problems import gen_gaussian, load_problem, write_matrix_market
 from rekbench.solvers import SolverKind, StopConfig, solve
@@ -524,24 +524,44 @@ def test_constants_sample_beyond_oracle_cap_is_io_error(capsys, tmp_path):
     assert "oracle cap" in err and err.count("\n") == 1
 
 
-def test_constants_beyond_pairwise_cap_is_io_error(capsys, tmp_path):
-    path = str(tmp_path / "A.mtx")
-    write_matrix_market(gen_gaussian(theory.PAIRWISE_CAP + 1, 3, 1), path)
-    code, out, _ = run(capsys, "constants", "--matrix", path)
+def test_constants_and_verify_scan_exactly_up_to_the_oracle_cap(capsys, tmp_path):
+    # 4001 rows: past the old 4000-line pairwise-scan cap, within the oracle cap.
+    path = gen_bundle(capsys, tmp_path, m=4001, n=3)
+    code, out, _ = run(capsys, "constants", "--problem", path)
+    assert code == 0
+    assert json.loads(out)["constants"]["approximate"] is False
+    code, out, _ = run(capsys, "verify", "--problem", path, "--trials", "2", "--steps", "2")
+    assert code == 0
+    assert json.loads(out)["constants"]["approximate"] is False
+
+
+@pytest.mark.parametrize("command", ["constants", "verify"])
+def test_constants_and_verify_beyond_oracle_cap_are_io_errors(capsys, tmp_path, command):
+    # A bundle by hand: gen refuses a matrix past the oracle cap.
+    m = linalg.ORACLE_MAX_ROWS + 1
+    write_matrix_market(gen_gaussian(m, 3, 1), tmp_path / "A.mtx")
+    np.savetxt(tmp_path / "b.txt", np.ones(m))
+    argv = {
+        "constants": ("constants", "--matrix", str(tmp_path / "A.mtx")),
+        "verify": ("verify", "--problem", str(tmp_path)),
+    }[command]
+    code, out, err = run(capsys, *argv)
     assert code == 2
-    payload = json.loads(out)
-    assert "pairwise-scan cap" in payload["error"]
-    assert "--sample" in payload["note"]
+    assert out == ""
+    assert err.startswith("error: ") and "oracle cap" in err and err.count("\n") == 1
 
 
-def test_verify_beyond_pairwise_cap_is_io_error(capsys, tmp_path):
-    path = gen_bundle(capsys, tmp_path, m=theory.PAIRWISE_CAP + 1, n=3)
+def test_verify_one_column_passes(capsys, tmp_path):
+    # One column: tau = 0, so thm1_beta is exactly 0 and not vacuous, and
+    # GPROJ's first ratio is rounding noise with stderr 0.
+    path = str(tmp_path / "one")
+    argv = ("gen", "gaussian", "--m", "5", "--n", "1", "--seed", "1", "--out", path)
+    assert run(capsys, *argv)[0] == 0
     code, out, _ = run(capsys, "verify", "--problem", path)
-    assert code == 2
+    assert code == 0
     report = json.loads(out)
-    assert report["problem"] == load_problem(path).label
-    assert "pairwise-scan cap" in report["error"]
-    assert "checks" not in report
+    assert report["checks"]["thm1_gproj"]["bound"] == 0.0
+    assert report["pass"] is True
 
 
 @pytest.mark.parametrize(

@@ -124,6 +124,21 @@ def test_size_too_large_to_store_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "size, entries",
+    [
+        # An index past int64 fails the block fill; the data and the count are sound.
+        ("9223372036854775809 2 2", "9223372036854775809 1 1.0\n1 1 2.0\n"),
+        # The index pointers of 2**63 + 1 rows cannot be allocated (ValueError).
+        ("9223372036854775809 2 1", "1 1 2.0\n"),
+    ],
+)
+def test_sound_data_past_int64_are_too_large_to_store(tmp_path, capsys, size, entries):
+    path = write(tmp_path, COORD + f"{size}\n{entries}")
+    assert main(["constants", "--matrix", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: line 2: size {size}: too large to store\n"
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n",

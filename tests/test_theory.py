@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,7 @@ from rekbench.linalg import (
 )
 from rekbench.problems import LsProblem, gen_gaussian, make_inconsistent_problem
 from rekbench.solvers import SolverKind, SolverState, StopConfig, build_caches, step
-from rekbench.theory import (
-    ConstantsTooLargeError,
-    compute_constants,
-    empirical_contraction,
-    rates_all,
-)
+from rekbench.theory import compute_constants, empirical_contraction, rates_all
 from rekbench.updates import pair_geometry_from
 
 
@@ -84,13 +81,27 @@ def test_constants_strict_bound_without_parallel_rows():
         assert 0 <= c.D < 1
 
 
-def test_constants_cap():
-    class FakeBig:
-        shape = (4001, 10)
-        rows, cols = 4001, 10
+def test_constants_scan_exactly_up_to_the_oracle_cap():
+    # 4001 rows: past the old 4000-line pairwise-scan cap, within the oracle cap.
+    assert compute_constants(gen_gaussian(4001, 3, 1)).approximate is False
+    rows = np.arange(5001)
+    A = DualSparseMatrix(5001, 3, rows, rows % 3, np.ones(5001))
+    with pytest.raises(OracleTooLargeError):
+        compute_constants(A)
 
-    with pytest.raises(ConstantsTooLargeError):
-        compute_constants(FakeBig())
+
+def test_coherence_scan_normalizes_one_copy_in_place():
+    # The columns of a 2000x500 array: one normalized 500x2000 copy plus a
+    # 256x500 block of products, about 1.25 times the array's bytes (a
+    # normalized copy of a copy took 2).
+    values = gen_gaussian(2000, 500, 1).values
+    tracemalloc.start()
+    try:
+        theory._coherence_extremes(values.T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * values.nbytes
 
 
 def test_constants_past_oracle_cap_refused_before_scans(monkeypatch):
