@@ -239,7 +239,12 @@ def _cmd_bench(args):
         _apply_config(args.config, args)
     if not args.methods or not args.problems:
         raise ValueError("bench needs --methods and --problems (or a config file)")
-    kinds = [_parse_kind(name.strip()) for name in args.methods]
+    kinds = []
+    for name in args.methods:
+        kind = _parse_kind(name.strip())
+        if kind in kinds:
+            raise ValueError(f"method {kind.value!r} is given more than once")
+        kinds.append(kind)
     _at_least_one("trials", args.trials)
     config = _stop_config(args)
     if args.jobs != 1:

@@ -49,10 +49,6 @@ class LsProblem:
         if self.r is not None:
             self.r = _checked_vector(self.r, "r", m)
 
-    @property
-    def shape(self):
-        return self.A.shape
-
     def validate(self):
         """Check the ground truth that is set: b = A x_star + r, r orthogonal to range(A).
 

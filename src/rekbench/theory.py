@@ -74,13 +74,18 @@ class BoundRates:
 
 
 def _coherence_extremes(dense, sample=None, rng=None):
-    """(min, max) |cos angle| over distinct nonzero rows of a dense array."""
+    """(min, max, sampled) |cos angle| over distinct nonzero rows of a dense array.
+
+    sampled is True when the scan left a nonzero row out: only then does it
+    draw from rng.
+    """
     norms = np.linalg.norm(dense, axis=1)
     keep = np.flatnonzero(norms > 0)
-    if sample is not None and keep.size > sample:
+    sampled = sample is not None and keep.size > sample
+    if sampled:
         keep = np.sort(rng.choice(keep, size=sample, replace=False))
     if keep.size < 2:
-        return 0.0, 0.0
+        return 0.0, 0.0, sampled
     unit = dense[keep]  # a copy, normalized in place
     unit /= norms[keep][:, None]
     lo, hi = np.inf, 0.0
@@ -93,7 +98,7 @@ def _coherence_extremes(dense, sample=None, rng=None):
         prods[diag, start + diag] = np.nan
         lo = min(lo, np.nanmin(prods))
         hi = max(hi, np.nanmax(prods))
-    return float(min(lo, 1.0)), float(min(hi, 1.0))
+    return float(min(lo, 1.0)), float(min(hi, 1.0)), sampled
 
 
 def _coherence_combination(lo, hi):
@@ -104,8 +109,10 @@ def compute_constants(A, sample=None):
     """Exact TheoryConstants, or a flagged sampled approximation.
 
     sample=None scans all row/column pairs (O(m^2 + n^2) pairs); an integer
-    subsamples that many rows/columns uniformly and marks the result
-    approximate.  Either way an A past the oracle cap raises first.
+    subsamples that many rows/columns uniformly, and the result is marked
+    approximate when either axis has more nonzero lines than that (an axis
+    with no more is scanned exactly).  Either way an A past the oracle cap
+    raises first.
     """
     if sample is not None and sample < 2:
         raise ValueError(f"sample must be at least 2 lines to hold a pair, got {sample}")
@@ -115,8 +122,8 @@ def compute_constants(A, sample=None):
     norms = build_norm_cache(A)
     frob_sq = norms.frob_sq
     rng = rngmod.stream(0, rngmod.method_tag("constants_sample"))
-    delta, Delta = _coherence_extremes(dense, sample, rng)
-    delta_t, Delta_t = _coherence_extremes(dense.T, sample, rng)
+    delta, Delta, rows_sampled = _coherence_extremes(dense, sample, rng)
+    delta_t, Delta_t, cols_sampled = _coherence_extremes(dense.T, sample, rng)
     row_sq = norms.row_sq_norms[norms.row_sq_norms > 0]
     col_sq = norms.col_sq_norms[norms.col_sq_norms > 0]
     return TheoryConstants(
@@ -136,7 +143,7 @@ def compute_constants(A, sample=None):
         D_t=_coherence_combination(delta_t, Delta_t),
         rows_have_parallel_pair=pair_geometry_from(Delta, 1.0, 1.0).parallel,
         cols_have_parallel_pair=pair_geometry_from(Delta_t, 1.0, 1.0).parallel,
-        approximate=sample is not None,
+        approximate=rows_sampled or cols_sampled,
     )
 
 

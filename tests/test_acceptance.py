@@ -242,7 +242,7 @@ def test_criterion_9_matrix_market_round_trip(tmp_path):
 def test_criterion_10_tomography():
     t0 = time.time()
     problem = gen_parallel_beam(16, 24, 24, 11)
-    cap = 5000 * min(problem.shape)
+    cap = 5000 * min(problem.A.shape)
     rec = solve(
         SolverKind.TSREKS,
         problem,

@@ -33,7 +33,7 @@ def test_gen_reload_and_check(capsys, tmp_path):
     path = gen_bundle(capsys, tmp_path, m=200, n=50)
     problem = load_problem(path)
     problem.validate()
-    assert problem.shape == (200, 50)
+    assert problem.A.shape == (200, 50)
 
 
 GEN_ARGS = {
@@ -312,6 +312,21 @@ def test_bench_config_numbers_and_nulls_are_accepted(capsys, tmp_path):
     cfg.write_text(json.dumps({"methods": ["TREKS"], "problems": [path], "trials": 1, **settings}))
     code, _, err = run(capsys, "bench", "--config", str(cfg), "--out", str(tmp_path / "res.csv"))
     assert code == 0, err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bench_repeated_method_is_usage_error(capsys, tmp_path, source):
+    path = gen_bundle(capsys, tmp_path)
+    out_csv = tmp_path / "res.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"methods": ["SREK", "REK", "SREK"]}))
+    given = ("--methods", "REK, REK") if source == "flag" else ("--config", str(cfg))
+    code, out, err = run(
+        capsys, "bench", *given, "--problems", path, "--trials", "1", "--out", str(out_csv)
+    )
+    assert_usage_error(code, out, err)
+    assert "more than once" in err
+    assert not out_csv.exists()
 
 
 def test_bench_usage_error_without_methods(capsys, tmp_path):

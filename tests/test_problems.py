@@ -245,7 +245,7 @@ def test_sinogram_matches_shapely_oracle():
 def test_gen_parallel_beam_invariants():
     p = gen_parallel_beam(8, 12, 12, 3)
     p.validate()
-    assert p.shape == (144, 64)
+    assert p.A.shape == (144, 64)
 
 
 @pytest.mark.parametrize(

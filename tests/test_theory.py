@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_constants_past_oracle_cap_refused_before_scans(monkeypatch):
 
     def scan(*args):
         scans.append(args)
-        return 0.0, 0.0
+        return 0.0, 0.0, False
 
     monkeypatch.setattr(theory, "_coherence_extremes", scan)
     rows = np.arange(6000)
@@ -155,6 +156,22 @@ def test_constants_sampled_flagged_approximate():
     assert approx.approximate and not exact.approximate
     assert exact.delta <= approx.delta + 1e-12
     assert approx.Delta <= exact.Delta + 1e-12
+
+
+@pytest.mark.parametrize("shape", [(40, 10), (10, 40)])
+def test_constants_sample_flagged_only_where_a_scan_leaves_a_line_out(shape):
+    # One zero row and one zero column: 39 nonzero lines on the long axis, 9
+    # on the short one.  A sample of 39 leaves none out and draws nothing.
+    values = gen_gaussian(*shape, 2).values.copy()
+    values[1] = 0.0
+    values[:, 1] = 0.0
+    A = DenseMatrix(values)
+
+    def bits(c):
+        return [v.hex() if isinstance(v, float) else v for v in astuple(c)]
+
+    assert bits(compute_constants(A, sample=39)) == bits(compute_constants(A))
+    assert compute_constants(A, sample=38).approximate
 
 
 def test_rate_thm1_identity_2():

@@ -1,13 +1,14 @@
-"""Golden trajectories: the lines each kind picks, and its solve iterations.
+"""Golden trajectories: the lines each kind picks, its solve and its iterates.
 
 A refactor of selection or of the steps must leave these unchanged.  Each
-case hashes the first 300 picks that reach _axis_step, spied as
-(is a column axis, first, second) with no second line stored as -1, and
-records solve's iters at check_every 10 and the hash of its history (every
-check's k, residual norms and rse, as float64 bytes).  The pick and iters
-values were recorded before the selection pipeline was unified, so they pin
-the pick sequences across it; the history values pin the reported norms
-bit for bit.
+case makes two runs.  PICKS step calls with CONFIG give the hash of the
+first PICKS picks that reach _axis_step, spied as (is a column axis, first,
+second) with no second line stored as -1, and then the digest of x and z.
+One solve with SOLVE_CONFIG gives its iters at check_every 10, the hash of
+its history (every check's k, residual norms and rse, as float64 bytes) and
+the digest of its final x and z.  The picks and iters were recorded before
+the selection pipeline was unified and the digests before the shared step
+was made lean, so they pin the trajectories across both, bit for bit.
 """
 
 import hashlib
@@ -31,179 +32,101 @@ PROBLEMS = {
     "tomo": lambda: gen_parallel_beam(8, 12, 12, SEED),
 }
 
-# (problem, kind): (first 16 hex digits of the pick hash, solve iters)
+# (problem, kind): (pick hash, solve iters, history hash, x/z digest after
+# PICKS steps, x/z digest after solve), each hash and digest as _sha16 gives it
 GOLDEN = {
-    ("tall", "REK"): ("e91c3e7f06f367f0", 550),
-
-    ("tall", "TREK_ALT"): ("92a1d8e08ef236bb", 290),
-
-    ("tall", "TREKS"): ("5e1f64dee0675406", 270),
-
-    ("tall", "GREK"): ("91bc2ff65a43fd2a", 170),
-
-    ("tall", "SREK"): ("d1449b7b65e96b07", 170),
-
-    ("tall", "TGREK"): ("97fb27850963100c", 100),
-
-    ("tall", "TSREK"): ("93f214baa689777a", 90),
-
-    ("tall", "TSREKS"): ("4f06034678817a67", 90),
-
-    ("tall", "RK"): ("ec6d17f5f76fbff2", 2000),
-
-    ("tall", "TRKS"): ("e9c4c07c10c2a761", 2000),
-
-    ("tall", "TGRK"): ("ed0afff4c434d293", 2000),
-
-    ("tall", "TSRK"): ("86cd6f758400aeb3", 2000),
-
-    ("tall", "TSRKS"): ("d98b20bf0d20292b", 2000),
-
-    ("tall", "GPROJ"): ("2204c70e6931e6e5", 110),
-
-    ("tall", "SPROJ"): ("2756d9e8d1c6c73b", 110),
-
-    ("wide", "REK"): ("d4d74e0fde8155a0", 460),
-
-    ("wide", "TREK_ALT"): ("ee37c20761d51f8d", 290),
-
-    ("wide", "TREKS"): ("76d71eb0667bd78e", 240),
-
-    ("wide", "GREK"): ("452f879bcb803767", 130),
-
-    ("wide", "SREK"): ("ef3856a833fbeb5c", 160),
-
-    ("wide", "TGREK"): ("ca694e70affce53e", 90),
-
-    ("wide", "TSREK"): ("6208e7b67a185a71", 50),
-
-    ("wide", "TSREKS"): ("cc30106e62e2f572", 90),
-
-    ("wide", "RK"): ("08475b4cd2b1a01a", 360),
-
-    ("wide", "TRKS"): ("e80168a414a9f90c", 160),
-
-    ("wide", "TGRK"): ("02c64afb3aba7759", 70),
-
-    ("wide", "TSRK"): ("5a4d896243976e9f", 60),
-
-    ("wide", "TSRKS"): ("c74f04bbd279d9fe", 60),
-
-    ("wide", "GPROJ"): ("297206e79deddbe0", 2000),
-
-    ("wide", "SPROJ"): ("c54683d950c59da4", 2000),
-
-    ("tomo", "REK"): ("caf018171cca023b", 2000),
-
-    ("tomo", "TREK_ALT"): ("865402ea830756f3", 2000),
-
-    ("tomo", "TREKS"): ("61505478c3239f74", 2000),
-
-    ("tomo", "GREK"): ("5024e2279eb41e4e", 680),
-
-    ("tomo", "SREK"): ("2aca7d6f4b24d05d", 630),
-
-    ("tomo", "TGREK"): ("c3ddd40a3884cb0d", 390),
-
-    ("tomo", "TSREK"): ("7b27821e4a0263b3", 300),
-
-    ("tomo", "TSREKS"): ("e28de96c0af556f4", 460),
-
-    ("tomo", "RK"): ("631056b312922b75", 2000),
-
-    ("tomo", "TRKS"): ("630ba23d766918a8", 2000),
-
-    ("tomo", "TGRK"): ("4f2428ff9c68414a", 2000),
-
-    ("tomo", "TSRK"): ("ab3bb31ef5020f12", 2000),
-
-    ("tomo", "TSRKS"): ("b1763f4cffc3a691", 2000),
-
-    ("tomo", "GPROJ"): ("596d21adbdd1ea11", 210),
-
-    ("tomo", "SPROJ"): ("2d8f860ef1ccfefb", 210),
-
-}
-
-# (problem, kind): first 16 hex digits of the sha256 of solve's history
-HISTORY = {
-    ("tall", "REK"): "c39c6c346506e860",
-    ("tall", "TREK_ALT"): "dc89ff2b68d8794a",
-    ("tall", "TREKS"): "d83343d63140bec6",
-    ("tall", "GREK"): "89833b3b6fd3005e",
-    ("tall", "SREK"): "05f8027cff40c12c",
-    ("tall", "TGREK"): "dce377498b6fcf79",
-    ("tall", "TSREK"): "099cc2b28bb26d9b",
-    ("tall", "TSREKS"): "197440a0af04f0e3",
-    ("tall", "RK"): "176e42c8d4e44168",
-    ("tall", "TRKS"): "3362c2f85df7aef3",
-    ("tall", "TGRK"): "09704317de5f34da",
-    ("tall", "TSRK"): "eb515d0db171622c",
-    ("tall", "TSRKS"): "b51fdf14ce4edeaf",
-    ("tall", "GPROJ"): "8d912be0cb792c06",
-    ("tall", "SPROJ"): "17eed54416c2c627",
-    ("wide", "REK"): "de23f130fbfcb31a",
-    ("wide", "TREK_ALT"): "eb8a5f741cc47b4b",
-    ("wide", "TREKS"): "10c8e29b0cb854c9",
-    ("wide", "GREK"): "9198e538c31aa97f",
-    ("wide", "SREK"): "395bf8a42bb20eb0",
-    ("wide", "TGREK"): "3464f8b4ff4317d1",
-    ("wide", "TSREK"): "17fe2f8ff17e916e",
-    ("wide", "TSREKS"): "77e8ecc8faae274a",
-    ("wide", "RK"): "734dd8a3d1f84b5c",
-    ("wide", "TRKS"): "81245c67421ae02c",
-    ("wide", "TGRK"): "82e03fa478922435",
-    ("wide", "TSRK"): "1a9cce39631a28a7",
-    ("wide", "TSRKS"): "c53a937fb981962c",
-    ("wide", "GPROJ"): "7b4004a5d299d7fd",
-    ("wide", "SPROJ"): "206d9269ce446e48",
-    ("tomo", "REK"): "d0abaeef3838aaac",
-    ("tomo", "TREK_ALT"): "3aa8e802aeaccc93",
-    ("tomo", "TREKS"): "828febe073d0be2c",
-    ("tomo", "GREK"): "b2f7220684f7b4f4",
-    ("tomo", "SREK"): "5886ac40f56326d3",
-    ("tomo", "TGREK"): "73a2bd33d8e0bda2",
-    ("tomo", "TSREK"): "43fcdd4e96ed4099",
-    ("tomo", "TSREKS"): "80bce6ba4016cbc2",
-    ("tomo", "RK"): "9788bddd19354814",
-    ("tomo", "TRKS"): "6f5e4014b958d70d",
-    ("tomo", "TGRK"): "c9355905d42876d9",
-    ("tomo", "TSRK"): "5c3d1e1c1c98d13b",
-    ("tomo", "TSRKS"): "05d5aebdd6800018",
-    ("tomo", "GPROJ"): "15f26df592f09ead",
-    ("tomo", "SPROJ"): "96e50e9b5467c0c2",
+    ("tall", "REK"): ("e91c3e7f06f367f0", 550, "c39c6c346506e860", "f28d4737c80a1509", "c180eb7ff4d103dc"),
+    ("tall", "TREK_ALT"): ("92a1d8e08ef236bb", 290, "dc89ff2b68d8794a", "6e4f49f017d41849", "bf3064c22e3cd5a5"),
+    ("tall", "TREKS"): ("5e1f64dee0675406", 270, "d83343d63140bec6", "bbf72c3a830c0e3c", "91cb08208bd96899"),
+    ("tall", "GREK"): ("91bc2ff65a43fd2a", 170, "89833b3b6fd3005e", "62e2d73b1bb51ecd", "8181ab788f5d31b3"),
+    ("tall", "SREK"): ("d1449b7b65e96b07", 170, "05f8027cff40c12c", "65d54992dece2378", "ab3d45c0813d1c3d"),
+    ("tall", "TGREK"): ("97fb27850963100c", 100, "dce377498b6fcf79", "4956ddffe38ac4b1", "07c064def0d50549"),
+    ("tall", "TSREK"): ("93f214baa689777a", 90, "099cc2b28bb26d9b", "691134089058d18e", "022b56d181cd9766"),
+    ("tall", "TSREKS"): ("4f06034678817a67", 90, "197440a0af04f0e3", "929ed3bbae6ccc1f", "28b4e3a8ca1f73a1"),
+    ("tall", "RK"): ("ec6d17f5f76fbff2", 2000, "176e42c8d4e44168", "1c4555c845cbfcb4", "6c1355184d9b9e66"),
+    ("tall", "TRKS"): ("e9c4c07c10c2a761", 2000, "3362c2f85df7aef3", "50307a6f2a64e856", "824959e95f061c37"),
+    ("tall", "TGRK"): ("ed0afff4c434d293", 2000, "09704317de5f34da", "a947f037a8ea5db8", "d90e81e9d51a3082"),
+    ("tall", "TSRK"): ("86cd6f758400aeb3", 2000, "eb515d0db171622c", "d4b22bbecbeb2bcb", "f43a8c7d2862a7d7"),
+    ("tall", "TSRKS"): ("d98b20bf0d20292b", 2000, "b51fdf14ce4edeaf", "f86e4abf7415e8a3", "ba4ec9f3ef6c1255"),
+    ("tall", "GPROJ"): ("2204c70e6931e6e5", 110, "8d912be0cb792c06", "8cb18e25e43b38eb", "cb4a4f1b9d0431cb"),
+    ("tall", "SPROJ"): ("2756d9e8d1c6c73b", 110, "17eed54416c2c627", "7e206d23738c8bcf", "3ae5eb5a2975491a"),
+    ("wide", "REK"): ("d4d74e0fde8155a0", 460, "de23f130fbfcb31a", "ec122cab1d76b62e", "0e82bfe193b8e600"),
+    ("wide", "TREK_ALT"): ("ee37c20761d51f8d", 290, "eb8a5f741cc47b4b", "ddd7f152f2dabb0c", "4811f808ab43d43b"),
+    ("wide", "TREKS"): ("76d71eb0667bd78e", 240, "10c8e29b0cb854c9", "614a601606569696", "7e8e43e1091d453e"),
+    ("wide", "GREK"): ("452f879bcb803767", 130, "9198e538c31aa97f", "51410e645446fd60", "fcf5436bcdecac8b"),
+    ("wide", "SREK"): ("ef3856a833fbeb5c", 160, "395bf8a42bb20eb0", "ce692d05840d2eed", "69279667e6283a26"),
+    ("wide", "TGREK"): ("ca694e70affce53e", 90, "3464f8b4ff4317d1", "36b0277ec8b68eb1", "3a7195f2f030684a"),
+    ("wide", "TSREK"): ("6208e7b67a185a71", 50, "17fe2f8ff17e916e", "42e79d8c2c6f10c3", "f1327af7dd80671b"),
+    ("wide", "TSREKS"): ("cc30106e62e2f572", 90, "77e8ecc8faae274a", "d6df844b2814f179", "6a0a2577e0591cf9"),
+    ("wide", "RK"): ("08475b4cd2b1a01a", 360, "734dd8a3d1f84b5c", "25a9bf25fd1bc6cf", "a49bb62f99b0e22f"),
+    ("wide", "TRKS"): ("e80168a414a9f90c", 160, "81245c67421ae02c", "0e1557cb4673f701", "84874836709eb030"),
+    ("wide", "TGRK"): ("02c64afb3aba7759", 70, "82e03fa478922435", "798e0eba187fef8e", "a97babfe7877fd40"),
+    ("wide", "TSRK"): ("5a4d896243976e9f", 60, "1a9cce39631a28a7", "358bd3863504c997", "3dfefd9a4a2aec98"),
+    ("wide", "TSRKS"): ("c74f04bbd279d9fe", 60, "c53a937fb981962c", "91fef1e593ba3cec", "a293cebc0d7727e3"),
+    ("wide", "GPROJ"): ("297206e79deddbe0", 2000, "7b4004a5d299d7fd", "b327d7158a4d62f6", "3c8397d2f1b27cd5"),
+    ("wide", "SPROJ"): ("c54683d950c59da4", 2000, "206d9269ce446e48", "88ab5d5fc709dc58", "fc30c7a16ddfd250"),
+    ("tomo", "REK"): ("caf018171cca023b", 2000, "d0abaeef3838aaac", "9eca788da741d5f8", "144837ac443ac0ae"),
+    ("tomo", "TREK_ALT"): ("865402ea830756f3", 2000, "3aa8e802aeaccc93", "c6d7ac738fd333f5", "f9f51b5eb23fadd4"),
+    ("tomo", "TREKS"): ("61505478c3239f74", 2000, "828febe073d0be2c", "d850d783120a2870", "c184f12a497c69f0"),
+    ("tomo", "GREK"): ("5024e2279eb41e4e", 680, "b2f7220684f7b4f4", "b5f5351a4c9cc7a4", "aeaaa61ed1a9ba51"),
+    ("tomo", "SREK"): ("2aca7d6f4b24d05d", 630, "5886ac40f56326d3", "875fde600d13d40f", "34b8fd5509294380"),
+    ("tomo", "TGREK"): ("c3ddd40a3884cb0d", 390, "73a2bd33d8e0bda2", "40e129b57ceb6e9a", "7167e0cab35e50a6"),
+    ("tomo", "TSREK"): ("7b27821e4a0263b3", 300, "43fcdd4e96ed4099", "a927e052aae768b3", "a639e1cab9e464af"),
+    ("tomo", "TSREKS"): ("e28de96c0af556f4", 460, "80bce6ba4016cbc2", "f9a4691a2d904a65", "3118700ed00ea184"),
+    ("tomo", "RK"): ("631056b312922b75", 2000, "9788bddd19354814", "0a1b7036d926d7e9", "aa315cc041ccce5d"),
+    ("tomo", "TRKS"): ("630ba23d766918a8", 2000, "6f5e4014b958d70d", "17cefb973ebe8c7e", "2c3242e52e19a7e9"),
+    ("tomo", "TGRK"): ("4f2428ff9c68414a", 2000, "c9355905d42876d9", "44f86d0300e58936", "e177caf5e00dc8a1"),
+    ("tomo", "TSRK"): ("ab3bb31ef5020f12", 2000, "5c3d1e1c1c98d13b", "fe15839a9dfc1ca8", "28a2b26d32af2682"),
+    ("tomo", "TSRKS"): ("b1763f4cffc3a691", 2000, "05d5aebdd6800018", "275d15575498f5bf", "e3409bf8d24fcf3f"),
+    ("tomo", "GPROJ"): ("596d21adbdd1ea11", 210, "15f26df592f09ead", "33d63e530e8b3291", "88f5ca0eb4d5276d"),
+    ("tomo", "SPROJ"): ("2d8f860ef1ccfefb", 210, "96e50e9b5467c0c2", "9252652371d0e8b1", "4a0b0d338a9e85c2"),
 }
 
 
-def _history_hash(rec):
-    data = np.asarray(rec.history, dtype="<f8").tobytes()
-    return hashlib.sha256(data).hexdigest()[:16]
+def _sha16(*chunks):
+    """First 16 hex digits of the sha256 of the chunks' bytes, in order."""
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()[:16]
 
 
-def _pick_hash(monkeypatch, kind, problem):
-    caches = build_caches(problem.A, kind)
-    picks = []
-    original = solvers._axis_step
+def _digest(state):
+    """_sha16 of x's bytes, then z's, each after its tag (an absent one: no bytes)."""
+    tagged = ((b"x", state.x), (b"z", state.z))
+    return _sha16(*(tag + (b"" if v is None else v.tobytes()) for tag, v in tagged))
 
-    def spy(state, problem, caches, axis, idx):
-        picks.append((not axis.row, idx[0], idx[1] if len(idx) == 2 else -1))
-        return original(state, problem, caches, axis, idx)
 
-    monkeypatch.setattr(solvers, "_axis_step", spy)
-    state = SolverState.initial(kind, problem, seed=SEED)
-    for _ in range(PICKS):
-        if len(picks) >= PICKS:
-            break
-        step(state, problem, caches, CONFIG)
-    monkeypatch.undo()
-    data = np.asarray(picks[:PICKS], dtype="<i8").tobytes()
-    return hashlib.sha256(data).hexdigest()[:16]
+def test_golden_covers_every_case():
+    assert set(GOLDEN) == {(p, k.value) for p in PROBLEMS for k in SolverKind}
 
 
 @pytest.mark.parametrize("kind", list(SolverKind))
 @pytest.mark.parametrize("name", list(PROBLEMS))
 def test_golden_trajectory(monkeypatch, name, kind):
     problem = PROBLEMS[name]()
+    picks, states = [], []
+    axis_step, initial = solvers._axis_step, SolverState.initial.__func__
+
+    def spy_axis_step(state, problem, caches, axis, idx):
+        picks.append((not axis.row, idx[0], idx[1] if len(idx) == 2 else -1))
+        return axis_step(state, problem, caches, axis, idx)
+
+    def spy_initial(cls, *args, **kwargs):
+        # solve returns no iterate, so its state is caught as it is created.
+        states.append(initial(cls, *args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(solvers, "_axis_step", spy_axis_step)
+    caches = build_caches(problem.A, kind)
+    stepped = SolverState.initial(kind, problem, seed=SEED)
+    for _ in range(PICKS):
+        step(stepped, problem, caches, CONFIG)
+    monkeypatch.undo()
+    monkeypatch.setattr(SolverState, "initial", classmethod(spy_initial))
     rec = solve(kind, problem, SOLVE_CONFIG, seed=SEED)
-    assert (_pick_hash(monkeypatch, kind, problem), rec.iters) == GOLDEN[name, kind.value]
-    assert _history_hash(rec) == HISTORY[name, kind.value]
+    (solved,) = states
+    pick_hash = _sha16(np.asarray(picks[:PICKS], dtype="<i8").tobytes())
+    history_hash = _sha16(np.asarray(rec.history, dtype="<f8").tobytes())
+    got = (pick_hash, rec.iters, history_hash, _digest(stepped), _digest(solved))
+    assert got == GOLDEN[name, kind.value]
