@@ -9,8 +9,11 @@ its history (every check's k, residual norms and rse, as float64 bytes) and
 the digest of its final x and z.  The picks and iters were recorded before
 the selection pipeline was unified and the digests before the shared step
 was made lean, so they pin the trajectories across both, bit for bit.
+run_case makes a case's two runs once; this file asserts a row's first
+three values and tests/test_final_states.py its two digests.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -101,9 +104,9 @@ def test_golden_covers_every_case():
     assert set(GOLDEN) == {(p, k.value) for p in PROBLEMS for k in SolverKind}
 
 
-@pytest.mark.parametrize("kind", list(SolverKind))
-@pytest.mark.parametrize("name", list(PROBLEMS))
-def test_golden_trajectory(monkeypatch, name, kind):
+@functools.cache
+def run_case(name, kind):
+    """The five values of GOLDEN[name, kind.value], from one PICKS-step run and one solve."""
     problem = PROBLEMS[name]()
     picks, states = [], []
     axis_step, initial = solvers._axis_step, SolverState.initial.__func__
@@ -117,16 +120,22 @@ def test_golden_trajectory(monkeypatch, name, kind):
         states.append(initial(cls, *args, **kwargs))
         return states[-1]
 
-    monkeypatch.setattr(solvers, "_axis_step", spy_axis_step)
-    caches = build_caches(problem.A, kind)
-    stepped = SolverState.initial(kind, problem, seed=SEED)
-    for _ in range(PICKS):
-        step(stepped, problem, caches, CONFIG)
-    monkeypatch.undo()
-    monkeypatch.setattr(SolverState, "initial", classmethod(spy_initial))
-    rec = solve(kind, problem, SOLVE_CONFIG, seed=SEED)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_axis_step", spy_axis_step)
+        caches = build_caches(problem.A, kind)
+        stepped = SolverState.initial(kind, problem, seed=SEED)
+        for _ in range(PICKS):
+            step(stepped, problem, caches, CONFIG)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SolverState, "initial", classmethod(spy_initial))
+        rec = solve(kind, problem, SOLVE_CONFIG, seed=SEED)
     (solved,) = states
     pick_hash = _sha16(np.asarray(picks[:PICKS], dtype="<i8").tobytes())
     history_hash = _sha16(np.asarray(rec.history, dtype="<f8").tobytes())
-    got = (pick_hash, rec.iters, history_hash, _digest(stepped), _digest(solved))
-    assert got == GOLDEN[name, kind.value]
+    return pick_hash, rec.iters, history_hash, _digest(stepped), _digest(solved)
+
+
+@pytest.mark.parametrize("kind", list(SolverKind))
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_golden_trajectory(name, kind):
+    assert run_case(name, kind)[:3] == GOLDEN[name, kind.value][:3]
