@@ -5,7 +5,8 @@ Subcommands: gen (problem bundles), solve (one run, JSON row), bench
 JSON report), constants (matrix constants + rates, JSON).
 
 Exit codes: 0 success, 1 usage error, 2 I/O or parse error, 3
-non-convergence under --strict.
+non-convergence (solve --strict, a bench cell that did not converge or
+raised, a failed verify check).
 """
 
 from __future__ import annotations
@@ -170,6 +171,22 @@ def _result_row(record, problem):
     }
 
 
+def _cell_row(kind, problem, config, seed):
+    """The bench row of one cell, with its status last: ok, not converged or the error it raised.
+
+    A cell whose solve raises leaves its results empty, and the sweep goes on.
+    """
+    try:
+        record = solve(kind, problem, config, seed)
+    except Exception as exc:  # any failure of one cell is that cell's status
+        m, n = problem.A.shape
+        cell = {"method": kind.value, "problem": problem.label, "m": m, "n": n, "trial_seed": seed}
+        results = ("iters", "wall_time_ms", "rse", "primary_residual", "dual_residual", "converged")
+        return {**cell, **dict.fromkeys(results), "status": f"error: {type(exc).__name__}: {exc}"}
+    status = "ok" if record.converged else "not converged"
+    return {**_result_row(record, problem), "status": status}
+
+
 def _parse_kind(name):
     try:
         return SolverKind(name)
@@ -256,8 +273,7 @@ def _cmd_bench(args):
         for pidx, problem in enumerate(loaded):
             for trial in range(args.trials):
                 seed = rngmod.cell_seed(args.seed, kind.value, pidx, trial)
-                record = solve(kind, problem, config, seed)
-                rows.append(_result_row(record, problem))
+                rows.append(_cell_row(kind, problem, config, seed))
     rows.sort(key=lambda r: (r["method"], r["problem"], r["trial_seed"]))
 
     fieldnames = list(rows[0].keys())
@@ -274,13 +290,15 @@ def _cmd_bench(args):
             writer = csv.writer(fh)
             writer.writerow(["method", "problem", "mean_iters", "mean_wall_time_ms", "mean_rse"])
             for (method, label), cell_rows in sorted(groups.items()):
-                rses = [r["rse"] for r in cell_rows if r["rse"] is not None]
+                # The means are over the cells that ran; an error row has no results.
+                ran = [r for r in cell_rows if r["iters"] is not None]
+                rses = [r["rse"] for r in ran if r["rse"] is not None]
                 writer.writerow(
                     [
                         method,
                         label,
-                        statistics.mean(r["iters"] for r in cell_rows),
-                        statistics.mean(r["wall_time_ms"] for r in cell_rows),
+                        statistics.mean(r["iters"] for r in ran) if ran else "",
+                        statistics.mean(r["wall_time_ms"] for r in ran) if ran else "",
                         statistics.mean(rses) if rses else "",
                     ]
                 )

@@ -213,11 +213,13 @@ class RunRecord:
     seed: int
     iters: int
     wall_time: float
-    final_rse: float | None
-    final_primary_residual: float
-    final_dual_residual: float
     converged: bool
-    history: list  # (k, primary, dual, rse) at every check
+    history: list  # (k, primary, dual, rse) at every check, the last one included
+
+    # The last check's norms, and its rse (None for nan), as history[-1] holds them.
+    final_primary_residual = property(lambda self: self.history[-1][1])
+    final_dual_residual = property(lambda self: self.history[-1][2])
+    final_rse = property(lambda self: None if math.isnan(v := self.history[-1][3]) else v)
 
 
 def rse(x, x_star):
@@ -352,47 +354,46 @@ def step(state, problem, caches, config):
 # Stopping rule and driver
 
 
-def _residual_norms(state):
-    """(primary, dual) norms of the state's r and s; nan where not kept."""
-    return tuple(math.nan if v is None else float(np.linalg.norm(v)) for v in (state.r, state.s))
+def stopping_bounds(state, problem, frob_sq, tol):
+    """(primary, dual) bounds of the stopping rule: tol ||A||_F ||x|| and tol ||A||_F^2 ||x||.
 
-
-def converged(state, problem, caches, config, norms=None):
-    """The stopping criteria for the state's method, on its r and s.
-
-    The caller refreshes the state first, so r and s are the fresh
-    residuals of x and z rather than the incrementally maintained ones.
-    norms, when given, is their _residual_norms pair.
+    At x = 0, ||b|| takes the place of ||A||_F ||x||, as both measure vectors
+    the size of A x; so b orthogonal to range(A) (x_star = 0) stops at x = 0,
+    z = b.  Without x, ||z|| takes its place and the primary bound is infinite.
     """
-    tol = config.tol
-    frob_sq = caches.norms.frob_sq
-    frob = math.sqrt(frob_sq)
-    primary, dual = norms or _residual_norms(state)
     if state.x is None:
-        z_norm = float(np.linalg.norm(state.z))
-        return z_norm == 0.0 or dual <= tol * frob_sq * z_norm
+        return math.inf, tol * frob_sq * float(np.linalg.norm(state.z))
+    frob = math.sqrt(frob_sq)
     x_norm = float(np.linalg.norm(state.x))
     if x_norm == 0.0:
-        # The bounds below scale with ||A||_F ||x||, which vanishes here;
-        # ||b|| takes its place, as both measure vectors the size of A x.
-        # So b orthogonal to range(A) (x_star = 0) stops at x = 0, z = b.
         b_norm = float(np.linalg.norm(problem.b))
-        primary_bound, dual_bound = tol * b_norm, tol * frob * b_norm
-    else:
-        primary_bound, dual_bound = tol * frob * x_norm, tol * frob_sq * x_norm
-    return primary <= primary_bound and (state.z is None or dual <= dual_bound)
+        return tol * b_norm, tol * frob * b_norm
+    return tol * frob * x_norm, tol * frob_sq * x_norm
 
 
-def _current_rse(state, problem):
-    if state.x is None or problem.x_star is None:
-        return math.nan
-    if float(problem.x_star @ problem.x_star) == 0.0:
-        return math.nan
-    return rse(state.x, problem.x_star)
+def converged(state, problem, caches, config, norms):
+    """Whether a check's (primary, dual) norms meet the stopping bounds (nan: no such residual)."""
+    primary, dual = norms
+    primary_bound, dual_bound = stopping_bounds(state, problem, caches.norms.frob_sq, config.tol)
+    return (state.x is None or primary <= primary_bound) and (state.z is None or dual <= dual_bound)
+
+
+def _check(state, problem):
+    """Refresh r and s; the history row (k, |r|, |s|, rse), nan where the run has no such value."""
+    state.refresh(problem)
+    primary, dual = (
+        math.nan if v is None else float(np.linalg.norm(v)) for v in (state.r, state.s)
+    )
+    x_star = problem.x_star
+    known = state.x is not None and x_star is not None and float(x_star @ x_star) != 0.0
+    return state.k, primary, dual, rse(state.x, x_star) if known else math.nan
 
 
 def solve(kind, problem, config=None, seed=0):
-    """Run the named method to convergence or the iteration cap."""
+    """Run the named method to convergence or the iteration cap.
+
+    It checks every check_every steps and at the cap, so at 0 steps under a cap of 0.
+    """
     kind = SolverKind(kind)
     config = config or StopConfig()
     m, n = problem.A.shape
@@ -401,32 +402,12 @@ def solve(kind, problem, config=None, seed=0):
     max_iters = config.max_iters if config.max_iters is not None else 200 * min(m, n)
     state = SolverState.initial(kind, problem, seed)
     history = []
-    done = False
     t0 = time.perf_counter()
-    if max_iters == 0:
-        norms = _residual_norms(state)
-        done = converged(state, problem, caches, config, norms)
-    for _ in range(max_iters):
-        step(state, problem, caches, config)
-        if state.k % check_every == 0 or state.k == max_iters:
-            state.refresh(problem)
-            norms = _residual_norms(state)
-            history.append((state.k, *norms, _current_rse(state, problem)))
-            if converged(state, problem, caches, config, norms):
-                done = True
+    while True:
+        if state.k == max_iters or (state.k and state.k % check_every == 0):
+            history.append(_check(state, problem))
+            done = converged(state, problem, caches, config, history[-1][1:3])
+            if done or state.k == max_iters:
                 break
-    wall = time.perf_counter() - t0
-    # The record takes the last check's norms (of the fresh initial r and s at 0 steps).
-    primary, dual = norms
-    final_rse = _current_rse(state, problem)
-    return RunRecord(
-        kind=kind,
-        seed=seed,
-        iters=state.k,
-        wall_time=wall,
-        final_rse=None if math.isnan(final_rse) else final_rse,
-        final_primary_residual=primary,
-        final_dual_residual=dual,
-        converged=done,
-        history=history,
-    )
+        step(state, problem, caches, config)
+    return RunRecord(kind, seed, state.k, time.perf_counter() - t0, done, history)

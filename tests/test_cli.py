@@ -100,11 +100,20 @@ def test_solve_history_into_missing_directory_prints_no_row(capsys, tmp_path):
 
 def test_solve_max_iters_zero(capsys, tmp_path):
     path = gen_bundle(capsys, tmp_path)
+    hist = str(tmp_path / "hist.csv")
     code, out, _ = run(
-        capsys, "solve", "--method", "GREK", "--problem", path, "--max-iters", "0"
+        capsys, "solve", "--method", "GREK", "--problem", path, "--max-iters", "0",
+        "--history", hist,
     )
     assert code == 0
-    assert json.loads(out)["iters"] == 0
+    row = json.loads(out)
+    assert row["iters"] == 0
+    # The history holds the one check, at 0 steps, that the row reports.
+    with open(hist, newline="") as fh:
+        (check,) = list(csv.DictReader(fh))
+    keys = ("primary_residual", "dual_residual", "rse")
+    assert int(check["step"]) == 0
+    assert [float(check[key]) for key in keys] == [row[key] for key in keys]
 
 
 def test_solve_fraction_warning_for_non_sampling(capsys, tmp_path):
@@ -665,6 +674,41 @@ def test_negative_seed_is_usage_error(capsys, tmp_path, command):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def test_bench_cell_that_raises_is_a_row_of_its_own(capsys, tmp_path, monkeypatch):
+    path = gen_bundle(capsys, tmp_path)
+    argv = ("bench", "--methods", "GREK,SREK,REK", "--problems", path, "--trials", "2")
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "plain.csv"))
+    assert code == 0, err
+    plain = read_rows(tmp_path / "plain.csv")
+
+    def failing_solve(kind, *args):
+        if kind is SolverKind.SREK:
+            raise RuntimeError("step blew up")
+        return solve(kind, *args)
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    out_csv, sum_csv = tmp_path / "res.csv", tmp_path / "sum.csv"
+    code, out, err = run(capsys, *argv, "--out", str(out_csv), "--summary-out", str(sum_csv))
+    assert (code, out, err) == (3, "", "")
+    rows = read_rows(out_csv)
+    assert [row["status"] for row in plain] == ["ok"] * 6
+    assert len(rows) == 6
+    results = ("iters", "wall_time_ms", "rse", "primary_residual", "dual_residual", "converged")
+    for row, ref in zip(rows, plain):
+        if row["method"] == "SREK":
+            assert row.pop("status") == "error: RuntimeError: step blew up"
+            assert all(row.pop(key) == "" for key in results)
+            assert row.items() < ref.items()  # the same cell
+        else:
+            row.pop("wall_time_ms"), ref.pop("wall_time_ms")
+            assert row == ref
+    # The means are over the cells that ran, so SREK has none.
+    means = {row["method"]: row for row in read_rows(sum_csv)}
+    assert [means["SREK"][key] for key in ("mean_iters", "mean_wall_time_ms", "mean_rse")] == [""] * 3
+    grek_iters = [int(row["iters"]) for row in rows if row["method"] == "GREK"]
+    assert float(means["GREK"]["mean_iters"]) == np.mean(grek_iters)
 
 
 def test_bench_config_summary_out_overrides_its_flag(capsys, tmp_path):

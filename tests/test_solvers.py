@@ -28,9 +28,15 @@ from rekbench.solvers import (
     rse,
     solve,
     step,
+    stopping_bounds,
 )
 
 ALL_KINDS = list(SolverKind)
+
+
+def check_norms(state, problem):
+    """The (primary, dual) norms that solve's check takes, after it refreshes r and s."""
+    return solvers._check(state, problem)[1:3]
 
 
 def consistent_problem(m, n, seed):
@@ -81,8 +87,7 @@ def test_converged_at_exact_solution():
     state = SolverState.initial(SolverKind.REK, problem, seed=0)
     state.x = problem.x_star.copy()
     state.z = problem.r.copy()
-    state.refresh(problem)
-    assert converged(state, problem, caches, StopConfig(tol=1e-8))
+    assert converged(state, problem, caches, StopConfig(tol=1e-8), check_norms(state, problem))
 
 
 class CountingMatrix(DenseMatrix):
@@ -132,25 +137,27 @@ def test_solve_forms_fresh_residuals_once_per_check(monkeypatch, known_solution)
 @pytest.mark.parametrize("tol, max_iters", [(1e-30, 100), (1e-5, 1000)])
 def test_solve_takes_the_norms_once_per_check(monkeypatch, tol, max_iters):
     problem = make_inconsistent_problem(gen_gaussian(40, 10, 3), 3)
-    original_norms, original_converged = solvers._residual_norms, solvers.converged
+    original_check, original_converged = solvers._check, solvers.converged
     norm_calls, checks = [], []
 
-    def counted_norms(state):
+    def counted_check(state, problem):
         norm_calls.append(state.k)
-        return original_norms(state)
+        return original_check(state, problem)
 
-    def checked_converged(state, problem, caches, config, norms=None):
+    def checked_converged(state, problem, caches, config, norms):
         decision = original_converged(state, problem, caches, config, norms)
-        # The pair handed in is the fresh one, and stops the run as it would
-        # (these reference calls are not counted).
-        monkeypatch.setattr(solvers, "_residual_norms", original_norms)
-        assert norms == original_norms(state)
-        assert decision == original_converged(state, problem, caches, config)
-        monkeypatch.setattr(solvers, "_residual_norms", counted_norms)
+        # The pair handed in is that of the fresh residuals of x and z, and
+        # stops the run as they would.
+        A, b = problem.A, problem.b
+        fresh = tuple(
+            float(np.linalg.norm(v)) for v in (b - state.z - A.matvec(state.x), A.rmatvec(state.z))
+        )
+        assert norms == fresh
+        assert decision == original_converged(state, problem, caches, config, fresh)
         checks.append((state.k, *norms))
         return decision
 
-    monkeypatch.setattr(solvers, "_residual_norms", counted_norms)
+    monkeypatch.setattr(solvers, "_check", counted_check)
     monkeypatch.setattr(solvers, "converged", checked_converged)
     config = StopConfig(tol=tol, check_every=10, max_iters=max_iters)
     rec = solve(SolverKind.SREK, problem, config, seed=0)
@@ -169,10 +176,11 @@ def test_converged_at_zero_x_scales_by_b():
     b_norm = np.linalg.norm(problem.b)
     dual = np.linalg.norm(problem.A.rmatvec(problem.b))
     frob = np.sqrt(caches.norms.frob_sq)
+    norms = check_norms(state, problem)
     for tol in (1e-5, 0.5 * dual / (frob * b_norm), 2.0 * dual / (frob * b_norm), 1e9):
         expect = dual <= tol * frob * b_norm
-        assert converged(state, problem, caches, StopConfig(tol=tol)) == expect
-    assert not converged(state, problem, caches, StopConfig(tol=1e-5))
+        assert converged(state, problem, caches, StopConfig(tol=tol), norms) == expect
+    assert not converged(state, problem, caches, StopConfig(tol=1e-5), norms)
 
 
 def test_grek_stops_at_zero_solution():
@@ -186,31 +194,56 @@ def test_grek_stops_at_zero_solution():
     assert rec.final_dual_residual == 0.0
 
 
+def _off_range_problem(b):
+    """A 5x3 problem whose b has no component in range(A) = span(e1, e2, e3): x_star = 0."""
+    return LsProblem(A=DenseMatrix(np.vstack([np.eye(3), np.zeros((2, 3))])), b=np.array(b))
+
+
+# name: (problem, steps before the check)
+CONVERGED_CASES = {
+    "stepped": (lambda: make_inconsistent_problem(gen_gaussian(12, 5, 6), 6), 30),
+    # At the start x = 0, and z = b leaves s = -A^T b = 0.
+    "b-off-range": (lambda: _off_range_problem([0.0, 0.0, 0.0, 1.0, 2.0]), 0),
+    # At the start x = 0 and z = 0.
+    "b-zero": (lambda: _off_range_problem(np.zeros(5)), 0),
+}
+
+
 @pytest.mark.parametrize("kind", [SolverKind.REK, SolverKind.RK, SolverKind.GPROJ])
 def test_converged_matches_hand_formula(kind):
-    problem = make_inconsistent_problem(gen_gaussian(12, 5, 6), 6)
-    caches = build_caches(problem.A, kind)
-    state = SolverState.initial(kind, problem, seed=0)
-    for _ in range(30):
-        step(state, problem, caches, StopConfig())
-    state.refresh(problem)
-    A, b = problem.A, problem.b
-    frob = np.sqrt(caches.norms.frob_sq)
-    outcomes = set()
-    for tol in (1e-12, 1e-3, 1e-1, 1e2):
-        if kind in PROJECTION_KINDS:
-            z_norm = np.linalg.norm(state.z)
-            expect = np.linalg.norm(A.rmatvec(state.z)) <= tol * frob**2 * z_norm
-        else:
-            x_norm = np.linalg.norm(state.x)
-            z = 0.0 if kind in CONSISTENT_KINDS else state.z
-            expect = np.linalg.norm(b - z - A.matvec(state.x)) <= tol * frob * x_norm
-            if kind in EXTENDED_KINDS:
-                expect = expect and np.linalg.norm(A.rmatvec(state.z)) <= tol * frob**2 * x_norm
-        outcome = converged(state, problem, caches, StopConfig(tol=tol))
-        assert outcome == expect
-        outcomes.add(outcome)
-    assert outcomes == {True, False}
+    for case, (make, steps) in CONVERGED_CASES.items():
+        problem = make()
+        caches = build_caches(problem.A, kind)
+        state = SolverState.initial(kind, problem, seed=0)
+        for _ in range(steps):
+            step(state, problem, caches, StopConfig())
+        norms = check_norms(state, problem)
+        A, b = problem.A, problem.b
+        frob = np.sqrt(caches.norms.frob_sq)
+        outcomes = set()
+        for tol in (1e-12, 1e-3, 1e-1, 1e2):
+            if kind in PROJECTION_KINDS:
+                bounds = (math.inf, tol * frob**2 * np.linalg.norm(state.z))
+                expect = np.linalg.norm(A.rmatvec(state.z)) <= bounds[1]
+            else:
+                # ||b|| stands in for ||A||_F ||x|| at x = 0.
+                x_norm = np.linalg.norm(state.x)
+                size = frob * x_norm if x_norm else np.linalg.norm(b)
+                bounds = (tol * size, tol * frob * size)
+                z = 0.0 if kind in CONSISTENT_KINDS else state.z
+                expect = np.linalg.norm(b - z - A.matvec(state.x)) <= bounds[0]
+                if kind in EXTENDED_KINDS:
+                    expect = expect and np.linalg.norm(A.rmatvec(state.z)) <= bounds[1]
+            got = stopping_bounds(state, problem, caches.norms.frob_sq, tol)
+            assert got == pytest.approx(bounds, rel=1e-14, abs=0.0), case
+            outcome = converged(state, problem, caches, StopConfig(tol=tol), norms)
+            assert outcome == expect, case
+            outcomes.add(outcome)
+        if case == "stepped":
+            assert outcomes == {True, False}
+        elif kind is not SolverKind.RK:
+            # s = 0, and x = 0 leaves r = b - z = 0: a zero bound is met too.
+            assert outcomes == {True}, case
 
 
 def test_rse_values():
@@ -244,9 +277,21 @@ def test_solve_gproj_matches_range_split():
 
 def test_solve_max_iters_zero():
     problem = make_inconsistent_problem(gen_gaussian(10, 4, 9), 9)
-    rec = solve(SolverKind.GREK, problem, StopConfig(max_iters=0), seed=0)
-    assert rec.iters == 0
-    assert not rec.converged  # x = 0, z = b, and A^T b is not small
+    for kind in (SolverKind.GREK, SolverKind.RK, SolverKind.GPROJ):
+        rec = solve(kind, problem, StopConfig(max_iters=0), seed=0)
+        assert rec.iters == 0
+        assert not rec.converged  # x = 0, z = b, and A^T b is not small
+        # One check, at 0 steps: r = b - z is 0 with z = b and b without z,
+        # s = -A^T b, and x = 0 has rse 1; nan where the kind has no r, s or x.
+        method = METHODS[kind]
+        b_norm = 0.0 if method.cols else float(np.linalg.norm(problem.b))
+        primary = b_norm if method.rows else math.nan
+        dual = float(np.linalg.norm(problem.A.rmatvec(problem.b))) if method.cols else math.nan
+        row = (0, primary, dual, 1.0 if method.rows else math.nan)
+        assert np.array_equal(rec.history, [row], equal_nan=True)
+        final = (rec.final_primary_residual, rec.final_dual_residual)
+        assert np.array_equal(final, row[1:3], equal_nan=True)
+        assert rec.final_rse == (1.0 if method.rows else None)
 
 
 def test_solve_records_history():
