@@ -39,23 +39,37 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_NOT_CONVERGED = 3
 
-# The keys of a bench --config file: (type, whether null is allowed).  Each
-# key overrides the flag of its name.  The first four are StopConfig fields,
-# which solve and bench leave unset unless given, so StopConfig supplies
-# every default.
+# The bench settings, each a flag and a --config key of its name (the key
+# overrides the flag): (type, whether the key may be null, flag default, flag
+# help).  The StopConfig fields are also solve's flags; both commands leave
+# them unset unless given, so StopConfig supplies every default.
 _CONFIG_KEYS = {
-    "tol": (float, False),
-    "check_every": (int, True),
-    "max_iters": (int, True),
-    "fraction": (float, False),
-    "methods": (list, False),
-    "problems": (list, False),
-    "trials": (int, False),
-    "seed": (int, False),
-    "summary_out": (str, True),
+    "methods": (list, False, None, "comma-separated kinds"),
+    "problems": (list, False, None, "comma-separated bundle dirs"),
+    "trials": (int, False, 5, None),
+    "seed": (int, False, 0, None),
+    "summary_out": (str, True, None, None),
+    "tol": (float, False, None, None),
+    "check_every": (int, True, None, None),
+    "max_iters": (int, True, None, None),
+    "fraction": (float, False, None, None),
 }
-_STOP_KEYS = ("tol", "check_every", "max_iters", "fraction")
+_STOP_KEYS = tuple(StopConfig.__dataclass_fields__)
 _NOUNS = {int: "an integer", float: "a number", str: "a string", list: "a list of strings"}
+
+# The result columns of a run, each read from its RunRecord.  solve prints
+# them and bench writes them after the cell's columns; a bench cell whose
+# solve raised leaves them empty.  The summary averages the _MEANS columns.
+_RESULTS = {
+    "iters": lambda record: record.iters,
+    "wall_time_ms": lambda record: record.wall_time * 1000.0,
+    "cpu_time_ms": lambda record: record.cpu_time * 1000.0,
+    "rse": lambda record: record.final_rse,
+    "primary_residual": lambda record: record.final_primary_residual,
+    "dual_residual": lambda record: record.final_dual_residual,
+    "converged": lambda record: record.converged,
+}
+_MEANS = ("iters", "wall_time_ms", "cpu_time_ms", "rse")
 
 
 def _build_parser():
@@ -93,16 +107,13 @@ def _build_parser():
     bn = sub.add_parser("bench", help="method x problem x trial sweep")
     bn.set_defaults(handler=_cmd_bench)
     bn.add_argument("--config", default=None, help="JSON object; a key overrides its flag")
-    bn.add_argument("--methods", type=_names, help="comma-separated kinds")
-    bn.add_argument("--problems", type=_names, help="comma-separated bundle dirs")
-    bn.add_argument("--trials", type=int, default=5)
-    bn.add_argument("--seed", type=int, default=0)
     bn.add_argument("--jobs", type=int, default=1, help="ignored; bench runs cells in order")
     bn.add_argument("--out", required=True)
-    bn.add_argument("--summary-out", default=None)
-    for command in (sv, bn):
-        for key in _STOP_KEYS:
-            command.add_argument("--" + key.replace("_", "-"), type=_CONFIG_KEYS[key][0])
+    for command, keys in ((sv, _STOP_KEYS), (bn, _CONFIG_KEYS)):
+        for key in keys:
+            kind, _, default, text = _CONFIG_KEYS[key]
+            flag, flag_type = "--" + key.replace("_", "-"), _names if kind is list else kind
+            command.add_argument(flag, type=flag_type, default=default, help=text)
 
     vf = sub.add_parser("verify", help="bound-verification report")
     vf.set_defaults(handler=_cmd_verify)
@@ -154,21 +165,11 @@ def _cmd_gen(args):
     return EXIT_OK
 
 
-def _result_row(record, problem):
+def _result_row(kind, problem, seed, record=None):
+    """The cell's columns, then each result column of its record (None without one)."""
     m, n = problem.A.shape
-    return {
-        "method": record.kind.value,
-        "problem": problem.label,
-        "m": m,
-        "n": n,
-        "trial_seed": record.seed,
-        "iters": record.iters,
-        "wall_time_ms": record.wall_time * 1000.0,
-        "rse": record.final_rse,
-        "primary_residual": record.final_primary_residual,
-        "dual_residual": record.final_dual_residual,
-        "converged": record.converged,
-    }
+    cell = {"method": kind.value, "problem": problem.label, "m": m, "n": n, "trial_seed": seed}
+    return cell | {key: None if record is None else read(record) for key, read in _RESULTS.items()}
 
 
 def _cell_row(kind, problem, config, seed):
@@ -179,12 +180,9 @@ def _cell_row(kind, problem, config, seed):
     try:
         record = solve(kind, problem, config, seed)
     except Exception as exc:  # any failure of one cell is that cell's status
-        m, n = problem.A.shape
-        cell = {"method": kind.value, "problem": problem.label, "m": m, "n": n, "trial_seed": seed}
-        results = ("iters", "wall_time_ms", "rse", "primary_residual", "dual_residual", "converged")
-        return {**cell, **dict.fromkeys(results), "status": f"error: {type(exc).__name__}: {exc}"}
+        return {**_result_row(kind, problem, seed), "status": f"error: {type(exc).__name__}: {exc}"}
     status = "ok" if record.converged else "not converged"
-    return {**_result_row(record, problem), "status": status}
+    return {**_result_row(kind, problem, seed, record), "status": status}
 
 
 def _parse_kind(name):
@@ -197,6 +195,12 @@ def _parse_kind(name):
 def _at_least_one(name, value):
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
+
+
+def _once(noun, names):
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{noun} {name!r} is given more than once")
 
 
 def _stop_config(args):
@@ -218,7 +222,7 @@ def _cmd_solve(args):
             writer.writerow(["step", "primary_residual", "dual_residual", "rse"])
             for row in record.history:
                 writer.writerow(row)
-    _print_json(_result_row(record, problem))
+    _print_json(_result_row(kind, problem, args.seed, record))
     if args.strict and not record.converged:
         return EXIT_NOT_CONVERGED
     return EXIT_OK
@@ -237,7 +241,7 @@ def _apply_config(path, args):
     if unknown:
         raise ValueError(f"unknown config keys {json.dumps(unknown)}")
     for key, value in spec.items():
-        kind, nullable = _CONFIG_KEYS[key]
+        kind, nullable = _CONFIG_KEYS[key][:2]
         if value is None:
             ok = nullable
         elif kind is list:
@@ -256,17 +260,15 @@ def _cmd_bench(args):
         _apply_config(args.config, args)
     if not args.methods or not args.problems:
         raise ValueError("bench needs --methods and --problems (or a config file)")
-    kinds = []
-    for name in args.methods:
-        kind = _parse_kind(name.strip())
-        if kind in kinds:
-            raise ValueError(f"method {kind.value!r} is given more than once")
-        kinds.append(kind)
+    kinds = [_parse_kind(name.strip()) for name in args.methods]
+    _once("method", [kind.value for kind in kinds])
     _at_least_one("trials", args.trials)
     config = _stop_config(args)
     if args.jobs != 1:
         print("warning: --jobs ignored; bench runs cells in order", file=sys.stderr)
     loaded = [_load(path.strip()) for path in args.problems]
+    # The rows of a problem are grouped and sorted by its label.
+    _once("problem label", [problem.label for problem in loaded])
 
     rows = []
     for kind in kinds:
@@ -276,9 +278,8 @@ def _cmd_bench(args):
                 rows.append(_cell_row(kind, problem, config, seed))
     rows.sort(key=lambda r: (r["method"], r["problem"], r["trial_seed"]))
 
-    fieldnames = list(rows[0].keys())
     with open(args.out, "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
 
@@ -288,20 +289,11 @@ def _cmd_bench(args):
             groups.setdefault((row["method"], row["problem"]), []).append(row)
         with open(args.summary_out, "w", newline="", encoding="ascii") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["method", "problem", "mean_iters", "mean_wall_time_ms", "mean_rse"])
+            writer.writerow(["method", "problem", *("mean_" + key for key in _MEANS)])
             for (method, label), cell_rows in sorted(groups.items()):
-                # The means are over the cells that ran; an error row has no results.
-                ran = [r for r in cell_rows if r["iters"] is not None]
-                rses = [r["rse"] for r in ran if r["rse"] is not None]
-                writer.writerow(
-                    [
-                        method,
-                        label,
-                        statistics.mean(r["iters"] for r in ran) if ran else "",
-                        statistics.mean(r["wall_time_ms"] for r in ran) if ran else "",
-                        statistics.mean(rses) if rses else "",
-                    ]
-                )
+                # Each mean is over the cells with a value; an error row has none.
+                values = ([r[key] for r in cell_rows if r[key] is not None] for key in _MEANS)
+                writer.writerow([method, label, *(statistics.mean(v) if v else "" for v in values)])
     if not all(row["converged"] for row in rows):
         return EXIT_NOT_CONVERGED
     return EXIT_OK

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import os
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -375,7 +376,9 @@ def write_matrix_market(A, path):
             _write_lines(fh, "%d %d %.17g\n", i + 1, j + 1, v)
         else:
             fh.write(f"%%MatrixMarket matrix array real general\n{A.rows} {A.cols}\n")
-            _write_lines(fh, "%.17g\n", A.values.T.ravel())
+            width = max(1, IO_BLOCK // A.rows)  # columns of about IO_BLOCK values: no copy of A
+            for j in range(0, A.cols, width):
+                _write_lines(fh, "%.17g\n", A.values[:, j : j + width].ravel(order="F"))
 
 
 def _write_lines(fh, line, *columns):
@@ -524,7 +527,9 @@ def load_problem(directory):
     for name in BUNDLE_VECTORS:
         path = os.path.join(directory, f"{name}.txt")
         if name == "b" or os.path.exists(path):
-            vectors[name] = np.atleast_1d(np.loadtxt(path))
+            with warnings.catch_warnings():  # an empty file: the shape check names the vector
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                vectors[name] = np.atleast_1d(np.loadtxt(path))
     meta = {}
     meta_path = os.path.join(directory, "meta.json")
     if os.path.exists(meta_path):

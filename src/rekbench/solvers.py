@@ -212,7 +212,8 @@ class RunRecord:
     kind: SolverKind
     seed: int
     iters: int
-    wall_time: float
+    wall_time: float  # seconds of time.perf_counter
+    cpu_time: float  # seconds of time.process_time over the same span
     converged: bool
     history: list  # (k, primary, dual, rse) at every check, the last one included
 
@@ -402,7 +403,7 @@ def solve(kind, problem, config=None, seed=0):
     max_iters = config.max_iters if config.max_iters is not None else 200 * min(m, n)
     state = SolverState.initial(kind, problem, seed)
     history = []
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), time.process_time()
     while True:
         if state.k == max_iters or (state.k and state.k % check_every == 0):
             history.append(_check(state, problem))
@@ -410,4 +411,5 @@ def solve(kind, problem, config=None, seed=0):
             if done or state.k == max_iters:
                 break
         step(state, problem, caches, config)
-    return RunRecord(kind, seed, state.k, time.perf_counter() - t0, done, history)
+    wall, cpu = time.perf_counter() - t0, time.process_time() - cpu0
+    return RunRecord(kind, seed, state.k, wall, cpu, done, history)

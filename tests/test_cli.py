@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -170,6 +171,16 @@ def test_solve_bundle_with_nan_b_io_error(capsys, tmp_path):
     assert "b has non-finite entries" in err
 
 
+@pytest.mark.parametrize("name", ["b", "x_star", "r"])
+def test_solve_bundle_with_empty_vector_file_io_error(capsys, tmp_path, name):
+    path = gen_bundle(capsys, tmp_path)
+    (tmp_path / "prob" / f"{name}.txt").write_text("")
+    code, out, err = run(capsys, "solve", "--method", "GREK", "--problem", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} has shape (0,)") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("meta", ["[1, 2]", '"label"'])
 def test_solve_bundle_with_non_object_meta_io_error(capsys, tmp_path, meta):
     path = gen_bundle(capsys, tmp_path)
@@ -230,7 +241,7 @@ def test_bench_stable_modulo_wall_time(capsys, tmp_path):
         with open(out_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
-            row.pop("wall_time_ms")
+            row.pop("wall_time_ms"), row.pop("cpu_time_ms")
         outs.append(rows)
     assert outs[0] == outs[1]
 
@@ -250,7 +261,7 @@ def test_bench_jobs_matches_serial(capsys, tmp_path):
         with open(out_csv, newline="") as fh:
             rows = list(csv.DictReader(fh))
         for row in rows:
-            row.pop("wall_time_ms")
+            row.pop("wall_time_ms"), row.pop("cpu_time_ms")
         results.append(rows)
     assert results[0] == results[1]
 
@@ -323,16 +334,23 @@ def test_bench_config_numbers_and_nulls_are_accepted(capsys, tmp_path):
     assert code == 0, err
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("source", ["flag", "config", "problems-flag", "problems-config"])
 def test_bench_repeated_method_is_usage_error(capsys, tmp_path, source):
-    path = gen_bundle(capsys, tmp_path)
+    # A problem is known by its label, which two bundles generated alike share.
+    path, twin = gen_bundle(capsys, tmp_path), gen_bundle(capsys, tmp_path, "twin")
     out_csv = tmp_path / "res.csv"
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"methods": ["SREK", "REK", "SREK"]}))
-    given = ("--methods", "REK, REK") if source == "flag" else ("--config", str(cfg))
-    code, out, err = run(
-        capsys, "bench", *given, "--problems", path, "--trials", "1", "--out", str(out_csv)
-    )
+    if source == "config":
+        cfg.write_text(json.dumps({"methods": ["SREK", "REK", "SREK"]}))
+    else:
+        cfg.write_text(json.dumps({"problems": [path, twin]}))
+    given = {
+        "flag": ("--methods", "REK, REK", "--problems", path),
+        "config": ("--config", str(cfg), "--problems", path),
+        "problems-flag": ("--methods", "REK", "--problems", f"{path},{path}"),
+        "problems-config": ("--config", str(cfg), "--methods", "REK"),
+    }[source]
+    code, out, err = run(capsys, "bench", *given, "--trials", "1", "--out", str(out_csv))
     assert_usage_error(code, out, err)
     assert "more than once" in err
     assert not out_csv.exists()
@@ -341,6 +359,81 @@ def test_bench_repeated_method_is_usage_error(capsys, tmp_path, source):
 def test_bench_usage_error_without_methods(capsys, tmp_path):
     code, _, _ = run(capsys, "bench", "--out", str(tmp_path / "r.csv"))
     assert code == 1
+
+
+# The result columns, in the order solve prints them and bench writes them.
+RESULTS = (
+    "iters", "wall_time_ms", "cpu_time_ms", "rse", "primary_residual", "dual_residual", "converged"
+)
+
+
+def flags(command):
+    """The flags of a subcommand, by dest."""
+    sub = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action for action in sub.choices[command]._actions}
+
+
+def flag_of(action):
+    return action.option_strings, action.type, action.default, action.help
+
+
+@pytest.mark.parametrize("key", sorted(cli._CONFIG_KEYS))
+def test_every_bench_setting_is_a_flag_and_a_config_key(tmp_path, key):
+    kind, nullable, default, text = cli._CONFIG_KEYS[key]
+    flag_type = cli._names if kind is list else kind
+    flag = "--" + key.replace("_", "-")
+    assert flag_of(flags("bench")[key]) == ([flag], flag_type, default, text)
+    cfg, args = tmp_path / "cfg.json", argparse.Namespace()
+    cfg.write_text(json.dumps({key: {}}))
+    with pytest.raises(ValueError, match=f"config {key} must be {cli._NOUNS[kind]}"):
+        cli._apply_config(cfg, args)
+    cfg.write_text(json.dumps({key: None}))
+    if nullable:
+        cli._apply_config(cfg, args)
+        assert getattr(args, key) is None
+    else:
+        with pytest.raises(ValueError, match=f"config {key} must be "):
+            cli._apply_config(cfg, args)
+
+
+def test_stop_config_fields_are_settings_and_solve_flags():
+    fields = tuple(StopConfig.__dataclass_fields__)
+    assert cli._STOP_KEYS == fields
+    assert set(fields) <= set(cli._CONFIG_KEYS)
+    solve_flags, bench_flags = flags("solve"), flags("bench")
+    for key in fields:
+        assert flag_of(solve_flags[key]) == flag_of(bench_flags[key])
+    # No setting flag is added by hand.
+    assert set(bench_flags) == {"help", "config", "jobs", "out", *cli._CONFIG_KEYS}
+    assert set(solve_flags) == {"help", "method", "problem", "seed", "history", "strict", *fields}
+
+
+def test_result_columns_in_solve_bench_error_rows_and_summary(capsys, tmp_path, monkeypatch):
+    results = list(RESULTS)
+    assert list(cli._RESULTS) == results
+    assert cli._MEANS == ("iters", "wall_time_ms", "cpu_time_ms", "rse")
+    cell = ["method", "problem", "m", "n", "trial_seed"]
+    path = gen_bundle(capsys, tmp_path)
+    code, out, _ = run(capsys, "solve", "--method", "REK", "--problem", path)
+    row = json.loads(out)
+    assert code == 0 and list(row) == cell + results
+    assert row["cpu_time_ms"] > 0
+
+    def failing_solve(kind, *args):
+        if kind is SolverKind.SREK:
+            raise RuntimeError("step blew up")
+        return solve(kind, *args)
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    out_csv, sum_csv = tmp_path / "res.csv", tmp_path / "sum.csv"
+    argv = ("bench", "--methods", "REK,SREK", "--problems", path, "--trials", "1")
+    assert run(capsys, *argv, "--out", str(out_csv), "--summary-out", str(sum_csv))[0] == 3
+    with open(out_csv, newline="") as fh:
+        assert next(csv.reader(fh)) == cell + results + ["status"]
+    error = next(row for row in read_rows(out_csv) if row["method"] == "SREK")
+    assert [error[key] for key in results] == [""] * len(results)
+    with open(sum_csv, newline="") as fh:
+        assert next(csv.reader(fh)) == ["method", "problem", *("mean_" + key for key in cli._MEANS)]
 
 
 def test_verify_gaussian_passes(capsys, tmp_path):
@@ -695,18 +788,18 @@ def test_bench_cell_that_raises_is_a_row_of_its_own(capsys, tmp_path, monkeypatc
     rows = read_rows(out_csv)
     assert [row["status"] for row in plain] == ["ok"] * 6
     assert len(rows) == 6
-    results = ("iters", "wall_time_ms", "rse", "primary_residual", "dual_residual", "converged")
     for row, ref in zip(rows, plain):
         if row["method"] == "SREK":
             assert row.pop("status") == "error: RuntimeError: step blew up"
-            assert all(row.pop(key) == "" for key in results)
+            assert all(row.pop(key) == "" for key in RESULTS)
             assert row.items() < ref.items()  # the same cell
         else:
-            row.pop("wall_time_ms"), ref.pop("wall_time_ms")
+            for key in ("wall_time_ms", "cpu_time_ms"):
+                row.pop(key), ref.pop(key)
             assert row == ref
     # The means are over the cells that ran, so SREK has none.
     means = {row["method"]: row for row in read_rows(sum_csv)}
-    assert [means["SREK"][key] for key in ("mean_iters", "mean_wall_time_ms", "mean_rse")] == [""] * 3
+    assert [value for key, value in means["SREK"].items() if key.startswith("mean_")] == [""] * 4
     grek_iters = [int(row["iters"]) for row in rows if row["method"] == "GREK"]
     assert float(means["GREK"]["mean_iters"]) == np.mean(grek_iters)
 

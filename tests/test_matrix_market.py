@@ -1,4 +1,6 @@
 import hashlib
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,9 +227,13 @@ def test_dense_round_trip_exact(tmp_path):
 
 
 # (first 16 hex digits of the A.mtx sha256), recorded before the writer
-# formatted each file in one join; pins its bytes across that change.
+# formatted each file in one join; pins its bytes across that change.  The
+# two blocks cases, recorded before the dense writer wrote column blocks,
+# span several blocks of columns and columns longer than a block.
 WRITTEN = {
     "dense": (lambda: gen_gaussian(40, 10, 7), "5a6e8090ebe1c51d"),
+    "dense-column-blocks": (lambda: gen_gaussian(1500, 7, 3), "02eba6254e2165e3"),
+    "dense-long-columns": (lambda: gen_gaussian(4100, 2, 5), "7884ac27c9481693"),
     "edge": (lambda: DenseMatrix([[0.0, -0.0, 1e-310], [-1.5, 1e300, 2.0 / 3.0]]), "13e23942f042902a"),
     "sparse": (lambda: parallel_beam_matrix(8, 12, 12), "f3b9daa2e9a350d1"),
 }
@@ -239,3 +245,16 @@ def test_written_bytes_are_unchanged(tmp_path, name):
     path = tmp_path / "A.mtx"
     write_matrix_market(make(), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == expected
+
+
+def test_dense_write_is_bounded_in_memory():
+    # Column blocks of about IO_BLOCK values: the peak is one block's text,
+    # not a column-major copy of A (1.14 MiB here).
+    A = gen_gaussian(1000, 150, 1)
+    tracemalloc.start()
+    try:
+        write_matrix_market(A, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**20 < A.values.nbytes, peak
