@@ -12,10 +12,13 @@ raised, a failed verify check).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
 import statistics
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -126,7 +129,6 @@ def _build_parser():
     ct.set_defaults(handler=_cmd_constants)
     ct.add_argument("--matrix", default=None, help=".mtx file")
     ct.add_argument("--problem", default=None, help="problem bundle dir")
-    ct.add_argument("--sample", type=int, default=None, help="approximate pairwise scan size")
     return parser
 
 
@@ -148,6 +150,20 @@ def _load(path):
 
 class _IoFailure(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Each output path (None: none) opened before the work; removed if that or the work fails."""
+    with contextlib.ExitStack() as remove, contextlib.ExitStack() as close:
+        files = []
+        for path in paths:
+            fh = path and close.enter_context(open(path, "w", newline="", encoding="ascii"))
+            files.append(fh)
+            if fh:
+                remove.callback(os.remove, path)
+        yield files
+        remove.pop_all()
 
 
 def _cmd_gen(args):
@@ -215,17 +231,14 @@ def _cmd_solve(args):
     if args.fraction is not None and kind not in SAMPLING_KINDS:
         print(f"warning: --fraction ignored for {kind.value}", file=sys.stderr)
         args.fraction = None
-    record = solve(kind, problem, _stop_config(args), args.seed)
-    if args.history is not None:
-        with open(args.history, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
+    with _outputs(args.history) as (history,):
+        record = solve(kind, problem, _stop_config(args), args.seed)
+        if history:
+            writer = csv.writer(history)
             writer.writerow(["step", "primary_residual", "dual_residual", "rse"])
-            for row in record.history:
-                writer.writerow(row)
+            writer.writerows(record.history)
     _print_json(_result_row(kind, problem, args.seed, record))
-    if args.strict and not record.converged:
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return EXIT_NOT_CONVERGED if args.strict and not record.converged else EXIT_OK
 
 
 def _apply_config(path, args):
@@ -270,48 +283,37 @@ def _cmd_bench(args):
     # The rows of a problem are grouped and sorted by its label.
     _once("problem label", [problem.label for problem in loaded])
 
-    rows = []
-    for kind in kinds:
-        for pidx, problem in enumerate(loaded):
-            for trial in range(args.trials):
-                seed = rngmod.cell_seed(args.seed, kind.value, pidx, trial)
-                rows.append(_cell_row(kind, problem, config, seed))
-    rows.sort(key=lambda r: (r["method"], r["problem"], r["trial_seed"]))
-
-    with open(args.out, "w", newline="", encoding="ascii") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    with _outputs(args.out, args.summary_out) as (out, summary):
+        rows = []
+        for kind in kinds:
+            for pidx, problem in enumerate(loaded):
+                for trial in range(args.trials):
+                    seed = rngmod.cell_seed(args.seed, kind.value, pidx, trial)
+                    rows.append(_cell_row(kind, problem, config, seed))
+        rows.sort(key=lambda r: (r["method"], r["problem"], r["trial_seed"]))
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-
-    if args.summary_out:
-        groups = {}
-        for row in rows:
-            groups.setdefault((row["method"], row["problem"]), []).append(row)
-        with open(args.summary_out, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
+        if summary:
+            groups = {}
+            for row in rows:
+                groups.setdefault((row["method"], row["problem"]), []).append(row)
+            writer = csv.writer(summary)
             writer.writerow(["method", "problem", *("mean_" + key for key in _MEANS)])
             for (method, label), cell_rows in sorted(groups.items()):
                 # Each mean is over the cells with a value; an error row has none.
                 values = ([r[key] for r in cell_rows if r[key] is not None] for key in _MEANS)
                 writer.writerow([method, label, *(statistics.mean(v) if v else "" for v in values)])
-    if not all(row["converged"] for row in rows):
-        return EXIT_NOT_CONVERGED
-    return EXIT_OK
+    return EXIT_OK if all(row["converged"] for row in rows) else EXIT_NOT_CONVERGED
 
 
-def _constants_payload(A, sample=None):
+def _constants_payload(A):
     """(rates, JSON payload) of A's constants."""
-    consts = compute_constants(A, sample=sample)
+    consts = compute_constants(A)
     rates = rates_all(consts)
     payload = {
-        "constants": {
-            k: getattr(consts, k) for k in consts.__dataclass_fields__ if k != "frob_sq"
-        },
-        "rates": {
-            k: getattr(rates, k)
-            for k in rates.__dataclass_fields__
-            if k not in ("raw", "vacuous")
-        },
+        "constants": {k: v for k, v in asdict(consts).items() if k != "frob_sq"},
+        "rates": {k: v for k, v in asdict(rates).items() if k not in ("raw", "vacuous")},
         "vacuous": list(rates.vacuous),
         "frob_sq": consts.frob_sq,
     }
@@ -322,7 +324,7 @@ def _cmd_constants(args):
     if bool(args.matrix) == bool(args.problem):
         raise ValueError("constants needs exactly one of --matrix / --problem")
     A = read_matrix_market(args.matrix) if args.matrix else _load(args.problem).A
-    _print_json(_constants_payload(A, sample=args.sample)[1], indent=2)
+    _print_json(_constants_payload(A)[1], indent=2)
     return EXIT_OK
 
 

@@ -52,7 +52,6 @@ class TheoryConstants:
     D_t: float
     rows_have_parallel_pair: bool
     cols_have_parallel_pair: bool
-    approximate: bool = False
 
 
 @dataclass(frozen=True)
@@ -73,19 +72,12 @@ class BoundRates:
     raw: dict = field(default_factory=dict)
 
 
-def _coherence_extremes(dense, sample=None, rng=None):
-    """(min, max, sampled) |cos angle| over distinct nonzero rows of a dense array.
-
-    sampled is True when the scan left a nonzero row out: only then does it
-    draw from rng.
-    """
+def _coherence_extremes(dense):
+    """(min, max) |cos angle| over distinct nonzero rows of a dense array."""
     norms = np.linalg.norm(dense, axis=1)
     keep = np.flatnonzero(norms > 0)
-    sampled = sample is not None and keep.size > sample
-    if sampled:
-        keep = np.sort(rng.choice(keep, size=sample, replace=False))
     if keep.size < 2:
-        return 0.0, 0.0, sampled
+        return 0.0, 0.0
     unit = dense[keep]  # a copy, normalized in place
     unit /= norms[keep][:, None]
     lo, hi = np.inf, 0.0
@@ -98,32 +90,22 @@ def _coherence_extremes(dense, sample=None, rng=None):
         prods[diag, start + diag] = np.nan
         lo = min(lo, np.nanmin(prods))
         hi = max(hi, np.nanmax(prods))
-    return float(min(lo, 1.0)), float(min(hi, 1.0)), sampled
+    return float(min(lo, 1.0)), float(min(hi, 1.0))
 
 
 def _coherence_combination(lo, hi):
     return min(lo * lo * (1 - lo) / (1 + lo), hi * hi * (1 - hi) / (1 + hi))
 
 
-def compute_constants(A, sample=None):
-    """Exact TheoryConstants, or a flagged sampled approximation.
-
-    sample=None scans all row/column pairs (O(m^2 + n^2) pairs); an integer
-    subsamples that many rows/columns uniformly, and the result is marked
-    approximate when either axis has more nonzero lines than that (an axis
-    with no more is scanned exactly).  Either way an A past the oracle cap
-    raises first.
-    """
-    if sample is not None and sample < 2:
-        raise ValueError(f"sample must be at least 2 lines to hold a pair, got {sample}")
+def compute_constants(A):
+    """Exact TheoryConstants of A, from every row pair and every column pair."""
     # First: the oracle cap refuses A before any scan, and a sparse A is densified once.
     dense = _dense_values(A)
     lam_min, lam_max = _gram_extremes(dense)
     norms = build_norm_cache(A)
     frob_sq = norms.frob_sq
-    rng = rngmod.stream(0, rngmod.method_tag("constants_sample"))
-    delta, Delta, rows_sampled = _coherence_extremes(dense, sample, rng)
-    delta_t, Delta_t, cols_sampled = _coherence_extremes(dense.T, sample, rng)
+    delta, Delta = _coherence_extremes(dense)
+    delta_t, Delta_t = _coherence_extremes(dense.T)
     row_sq = norms.row_sq_norms[norms.row_sq_norms > 0]
     col_sq = norms.col_sq_norms[norms.col_sq_norms > 0]
     return TheoryConstants(
@@ -143,7 +125,6 @@ def compute_constants(A, sample=None):
         D_t=_coherence_combination(delta_t, Delta_t),
         rows_have_parallel_pair=pair_geometry_from(Delta, 1.0, 1.0).parallel,
         cols_have_parallel_pair=pair_geometry_from(Delta_t, 1.0, 1.0).parallel,
-        approximate=rows_sampled or cols_sampled,
     )
 
 

@@ -5,8 +5,10 @@ OPENBLAS_CORETYPE overrides the pick; so each core is read in a fresh
 process.
 """
 
+import ast
 import ctypes.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +71,25 @@ def test_reader_says_unknown_without_the_symbol():
 def test_every_golden_set_pins_the_same_cases(module):
     cases = [set(table) for table in module.GOLDEN.values()]
     assert len(cases) == 2 and cases[0] == cases[1]
+
+
+def imports_pinned(path):
+    """Whether the test module at path takes `pinned` from conftest: it holds a golden table."""
+    return any(
+        isinstance(node, ast.ImportFrom)
+        and node.module == "conftest"
+        and any(alias.name == "pinned" for alias in node.names)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    )
+
+
+def test_haswell_ci_step_runs_every_golden_module():
+    # The CI step that reruns the golden files under the Haswell kernels
+    # lists them by hand; a new golden module must be added to it.
+    workflow = (TESTS.parent / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    step = workflow.split("- name: Golden tables under the Haswell kernels")[1].split("- name:")[0]
+    assert "OPENBLAS_CORETYPE: Haswell" in step
+    listed = set(re.findall(r"tests/(test_\w+)\.py", step))
+    golden = {path.stem for path in TESTS.glob("test_*.py") if imports_pinned(path)}
+    assert golden, "no test module imports pinned from conftest"
+    assert listed == golden

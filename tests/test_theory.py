@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -39,24 +38,35 @@ def test_constants_hand_pair():
     assert c.Delta == pytest.approx(1 / np.sqrt(2))
 
 
+def naive_coherence(vals):
+    """(min, max) |cos angle| over every pair of distinct nonzero rows, one pair at a time."""
+    lines = [v for v in vals if np.any(v)]
+    coh = []
+    for i1, u in enumerate(lines):
+        for i2, v in enumerate(lines):
+            if i1 != i2:
+                coh.append(abs(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+    return min(coh), max(coh)
+
+
 def test_constants_naive_pairwise_oracle():
     g = np.random.Generator(np.random.Philox(1))
     vals = g.standard_normal((30, 10))
-    _, cache, c = constants_for(vals)
-    coh = []
-    for i1 in range(30):
-        for i2 in range(30):
-            if i1 != i2:
-                coh.append(
-                    abs(vals[i1] @ vals[i2])
-                    / (np.linalg.norm(vals[i1]) * np.linalg.norm(vals[i2]))
-                )
-    assert c.delta == pytest.approx(min(coh), rel=1e-12)
-    assert c.Delta == pytest.approx(max(coh), rel=1e-12)
-    row_sq = np.sum(vals**2, axis=1)
-    assert c.tau_max == pytest.approx(cache.frob_sq - row_sq.min(), rel=1e-12)
-    assert c.tau_min == pytest.approx(cache.frob_sq - row_sq.max(), rel=1e-12)
-    assert c.t == pytest.approx(row_sq.min(), rel=1e-12)
+    holed = vals.copy()
+    holed[4] = 0.0
+    holed[:, 7] = 0.0
+    i, j = np.nonzero(holed)
+    sparse = DualSparseMatrix(30, 10, i, j, holed[i, j])
+    for A, dense in ((DenseMatrix(vals), vals), (DenseMatrix(holed), holed), (sparse, holed)):
+        c = compute_constants(A)
+        assert (c.delta, c.Delta) == pytest.approx(naive_coherence(dense), rel=1e-12)
+        assert (c.delta_t, c.Delta_t) == pytest.approx(naive_coherence(dense.T), rel=1e-12)
+        frob_sq = np.sum(dense**2)
+        row_sq = np.sum(dense**2, axis=1)
+        row_sq = row_sq[row_sq > 0]
+        assert c.tau_max == pytest.approx(frob_sq - row_sq.min(), rel=1e-12)
+        assert c.tau_min == pytest.approx(frob_sq - row_sq.max(), rel=1e-12)
+        assert c.t == pytest.approx(row_sq.min(), rel=1e-12)
 
 
 def test_constants_parallel_pair_flagged():
@@ -84,7 +94,7 @@ def test_constants_strict_bound_without_parallel_rows():
 
 def test_constants_scan_exactly_up_to_the_oracle_cap():
     # 4001 rows: past the old 4000-line pairwise-scan cap, within the oracle cap.
-    assert compute_constants(gen_gaussian(4001, 3, 1)).approximate is False
+    compute_constants(gen_gaussian(4001, 3, 1))
     rows = np.arange(5001)
     A = DualSparseMatrix(5001, 3, rows, rows % 3, np.ones(5001))
     with pytest.raises(OracleTooLargeError):
@@ -110,13 +120,13 @@ def test_constants_past_oracle_cap_refused_before_scans(monkeypatch):
 
     def scan(*args):
         scans.append(args)
-        return 0.0, 0.0, False
+        return 0.0, 0.0
 
     monkeypatch.setattr(theory, "_coherence_extremes", scan)
     rows = np.arange(6000)
     A = DualSparseMatrix(6000, 10, rows, rows % 10, np.ones(6000))
     with pytest.raises(OracleTooLargeError):
-        compute_constants(A, sample=50)
+        compute_constants(A)
     assert scans == []
 
 
@@ -147,31 +157,6 @@ def test_oracles_densify_a_sparse_matrix_once_and_a_dense_one_never(monkeypatch)
     S = DualSparseMatrix(30, 10, rows, rows % 10, 1.0 + rows)
     compute_constants(S)
     assert densified == [S]
-
-
-def test_constants_sampled_flagged_approximate():
-    A = gen_gaussian(60, 20, 3)
-    exact = compute_constants(A)
-    approx = compute_constants(A, sample=30)
-    assert approx.approximate and not exact.approximate
-    assert exact.delta <= approx.delta + 1e-12
-    assert approx.Delta <= exact.Delta + 1e-12
-
-
-@pytest.mark.parametrize("shape", [(40, 10), (10, 40)])
-def test_constants_sample_flagged_only_where_a_scan_leaves_a_line_out(shape):
-    # One zero row and one zero column: 39 nonzero lines on the long axis, 9
-    # on the short one.  A sample of 39 leaves none out and draws nothing.
-    values = gen_gaussian(*shape, 2).values.copy()
-    values[1] = 0.0
-    values[:, 1] = 0.0
-    A = DenseMatrix(values)
-
-    def bits(c):
-        return [v.hex() if isinstance(v, float) else v for v in astuple(c)]
-
-    assert bits(compute_constants(A, sample=39)) == bits(compute_constants(A))
-    assert compute_constants(A, sample=38).approximate
 
 
 def test_rate_thm1_identity_2():
