@@ -651,12 +651,14 @@ def test_matrix_market_invalid_content_is_io_error(capsys, tmp_path, command, te
     assert not out_dir.exists()
 
 
-def test_constants_sample_is_usage_error(capsys, tmp_path):
-    # The coherence scan is exact: there is no sampled one to ask for.
+@pytest.mark.parametrize("sample", ["-1", "0", "1", "2"])
+def test_constants_sample_below_a_pair_is_usage_error(capsys, tmp_path, sample):
+    # The coherence scan is exact: there is no sampled one to ask for, so
+    # --sample is refused at any size, a pair and more included.
     path = gen_bundle(capsys, tmp_path)
-    code, out, err = run(capsys, "constants", "--problem", path, "--sample", "5")
+    code, out, err = run(capsys, "constants", "--problem", path, "--sample", sample)
     assert (code, out) == (1, "")
-    assert "--sample" in err
+    assert f"unrecognized arguments: --sample {sample}" in err
 
 
 def test_constants_and_verify_scan_exactly_up_to_the_oracle_cap(capsys, tmp_path):
