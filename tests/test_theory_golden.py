@@ -13,7 +13,11 @@ output is the one before with that line removed.  GOLDEN holds one table
 per BLAS key (tests/conftest.py).
 """
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 
 import pytest
 from conftest import HASWELL_KEY, SKYLAKEX_KEY, pinned
@@ -60,13 +64,18 @@ HASWELL = {
 GOLDEN = {SKYLAKEX_KEY: SKYLAKEX, HASWELL_KEY: HASWELL}
 
 
+def theory_output(bundle, command):
+    """(exit code, first 16 hex digits of the stdout sha256) of one command: a value of GOLDEN."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, bundle)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", *BUNDLES[bundle], "--out", path]) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main([*COMMANDS[command], "--problem", path])
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("bundle, command", sorted(SKYLAKEX))
-def test_theory_output_is_unchanged(capsys, tmp_path, bundle, command):
+def test_theory_output_is_unchanged(bundle, command):
     expected = pinned(GOLDEN)[bundle, command]
-    path = str(tmp_path / bundle)
-    assert main(["gen", *BUNDLES[bundle], "--out", path]) == 0
-    capsys.readouterr()
-    argv = [*COMMANDS[command], "--problem", path]
-    code = main(argv)
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
-    assert (code, digest) == expected
+    assert theory_output(bundle, command) == expected
