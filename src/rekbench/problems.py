@@ -1,9 +1,9 @@
 """Least-squares problem construction and serialization.
 
 Generators mirror a standard experimental protocol: Gaussian matrices,
-right-hand sides with a controlled component orthogonal to the range of A
-(built by a projection process), and a simplified parallel-beam tomography
-operator over the Shepp-Logan phantom.  Matrix Market files are the on-disk
+right-hand sides b = A x + r planted by one recipe (_planted_problem, r a
+draw projected off the range of A once), and a simplified parallel-beam
+tomography operator over the Shepp-Logan phantom.  Matrix Market files are the on-disk
 matrix format; problem bundles are directories of .mtx + flat vectors +
 JSON metadata.
 """
@@ -103,51 +103,42 @@ def _off_range(A, v):
     return v - A.matvec(coef), rank
 
 
-def _planted(A, b, x, rank, frob_sq):
+def _planted(A, b, x, rank):
     """x if A has full column rank and x solves the normal equations to PLANTED_TOL, else None."""
-    tol = PLANTED_TOL * np.finfo(np.float64).eps * frob_sq * np.linalg.norm(x)
+    tol = PLANTED_TOL * np.finfo(np.float64).eps * build_norm_cache(A).frob_sq * np.linalg.norm(x)
     return x if rank == A.cols and np.linalg.norm(A.rmatvec(b - A.matvec(x))) <= tol else None
 
 
-def oracle_problem(A, b, label, meta, x_star=None):
-    """The LsProblem for A and b, with r = b - A x_star and, unless given, x_star = A^+ b."""
-    x_star = direct_least_squares(A, b) if x_star is None else x_star
+def _planted_problem(A, x, w, label, meta):
+    """The LsProblem b = A x + r, where r is w projected off range(A) once.
+
+    x_star is x where _planted admits it, else the oracle A^+ b; r is stored
+    as b - A x_star.  Every generator builds its problem here.
+    """
+    r, rank = _off_range(A, w)
+    b = A.matvec(x) + r
+    x_star = _planted(A, b, x, rank)
+    if x_star is None:
+        x_star = direct_least_squares(A, b)
     return LsProblem(A=A, b=b, x_star=x_star, r=b - A.matvec(x_star), label=label, meta=meta)
 
 
 def make_consistent_problem(A, seed):
-    """Build b = A x for a Gaussian x, so that r is zero up to rounding."""
+    """Build b = A x for a Gaussian x (w = 0, so r is zero where x is planted)."""
     m, n = A.shape
     g = rngmod.stream(seed, rngmod.method_tag("gen_consistent_b"))
-    return oracle_problem(
-        A,
-        A.matvec(g.standard_normal(n)),
-        f"gaussian-{m}x{n}-seed{seed}",
-        {"seed": int(seed), "generator": "gen_gaussian"},
-    )
+    label = f"gaussian-{m}x{n}-seed{seed}"
+    meta = {"seed": int(seed), "generator": "gen_gaussian"}
+    return _planted_problem(A, g.standard_normal(n), np.zeros(m), label, meta)
 
 
 def make_inconsistent_problem(A, seed):
-    """Build b = A x_raw + r with r orthogonal to range(A); x_star is x_raw if _planted admits it.
-
-    r projects a Gaussian draw off range(A), with a second projection pass
-    if the first leaves measurable overlap (ill-conditioned A).
-    """
+    """Build b = A x + r for a Gaussian x, with r a Gaussian draw projected off range(A)."""
     m, n = A.shape
     g = rngmod.stream(seed, rngmod.method_tag("make_inconsistent"))
-    x_raw = g.standard_normal(n)
-    r, rank = _off_range(A, g.standard_normal(m))
-    frob_sq = build_norm_cache(A).frob_sq
-    r_norm = np.linalg.norm(r)
-    if r_norm > 0 and np.linalg.norm(A.rmatvec(r)) > 1e-10 * np.sqrt(frob_sq) * r_norm:
-        r = project_off_range(A, r)
-    return oracle_problem(
-        A,
-        b := A.matvec(x_raw) + r,
-        f"inconsistent-{m}x{n}-seed{seed}",
-        {"seed": int(seed), "generator": "make_inconsistent_problem"},
-        _planted(A, b, x_raw, rank, frob_sq),
-    )
+    label = f"inconsistent-{m}x{n}-seed{seed}"
+    meta = {"seed": int(seed), "generator": "make_inconsistent_problem"}
+    return _planted_problem(A, g.standard_normal(n), g.standard_normal(m), label, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -476,26 +467,21 @@ def parallel_beam_matrix(image_side, n_angles, n_detectors):
 
 
 def gen_parallel_beam(image_side, n_angles, n_detectors, seed):
-    """Parallel-beam tomography problem; x_star is the Shepp-Logan phantom if _planted admits it."""
+    """Parallel-beam tomography problem b = A phantom + r, with r as make_inconsistent_problem's."""
     phantom = shepp_logan(image_side)
     if n_angles < 1 or n_detectors < 1:
         raise ValueError("n_angles and n_detectors must be at least 1")
     A = parallel_beam_matrix(image_side, n_angles, n_detectors)
     g = rngmod.stream(seed, rngmod.method_tag("gen_parallel_beam"))
-    r, rank = _off_range(A, project_off_range(A, g.standard_normal(A.rows)))
-    return oracle_problem(
-        A,
-        b := A.matvec(phantom) + r,
-        f"tomo-{image_side}x{image_side}-a{n_angles}-d{n_detectors}-seed{seed}",
-        {
-            "seed": int(seed),
-            "generator": "gen_parallel_beam",
-            "image_side": image_side,
-            "n_angles": n_angles,
-            "n_detectors": n_detectors,
-        },
-        _planted(A, b, phantom, rank, build_norm_cache(A).frob_sq),
-    )
+    label = f"tomo-{image_side}x{image_side}-a{n_angles}-d{n_detectors}-seed{seed}"
+    meta = {
+        "seed": int(seed),
+        "generator": "gen_parallel_beam",
+        "image_side": image_side,
+        "n_angles": n_angles,
+        "n_detectors": n_detectors,
+    }
+    return _planted_problem(A, phantom, g.standard_normal(A.rows), label, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ asserts its picks, iters and history; this asserts the row's last two
 values, the digests of x and z after PICKS step calls and after solve, so a
 change to the step arithmetic that keeps the picks but moves a rounding
 shows here.  Both read the same cached run_case, so each case runs once.
+The wide and tomo digests were recorded again with the rest of their rows,
+when every generator began to project its residual draw off range(A) once.
 """
 
 import pytest

@@ -5,8 +5,12 @@ trajectory and benchmark input stays the same.  b is pinned by the sha256
 of its float64 bytes, in one GOLDEN table per BLAS key (tests/conftest.py);
 x_star must agree with the dense oracle direct_least_squares(A, b) and
 satisfy the normal equations to working precision, and r must be stored as
-b - A x_star.  Where A is wide, rank
-deficient or ill-conditioned, x_star must be the oracle's, bit for bit.
+b - A x_star.  A tall consistent problem's x_star is its planted x and its
+r is zero, bit for bit.  Where A is wide, rank deficient or
+ill-conditioned, x_star must be the oracle's, bit for bit.  The two tomo b
+were recorded again when gen_parallel_beam began to project its draw off
+range(A) once, not twice; the two benchmark inputs were recorded before
+that change and kept their bits across it.
 """
 
 import hashlib
@@ -15,6 +19,7 @@ import numpy as np
 import pytest
 from conftest import HASWELL_KEY, SKYLAKEX_KEY, pinned
 
+from rekbench import rng
 from rekbench.linalg import DenseMatrix, build_norm_cache, direct_least_squares
 from rekbench.problems import (
     gen_gaussian,
@@ -59,6 +64,7 @@ PLANTED = {
     "gaussian-40x20-seed42": _inconsistent(40, 20, 42),
     "tomo-8-a12-d12-seed1": _tomo(8, 12, 12, 1),
     "tomo-16-a24-d24-seed1": _tomo(16, 24, 24, 1),
+    "consistent-40x10-seed1": _consistent(40, 10, 1),
     "dense-greedy-2000x500-seed1": _inconsistent(2000, 500, 1),
     "sweep-consistent-400x100-seed1": _consistent(400, 100, 1),
 }
@@ -68,8 +74,9 @@ SKYLAKEX = {
     "gaussian-40x10-seed1": "54a3defef1b34996",
     "gaussian-60x15-seed1": "798f6bdbf044beb1",
     "gaussian-40x20-seed42": "39d140238af26267",
-    "tomo-8-a12-d12-seed1": "d70035b2da9cd3ce",
-    "tomo-16-a24-d24-seed1": "540aa9f5c982b3d8",
+    "tomo-8-a12-d12-seed1": "dba6cd65458fbaaa",
+    "tomo-16-a24-d24-seed1": "99dcf38e5f22c2c1",
+    "consistent-40x10-seed1": "b83691ee208c73d3",
     "dense-greedy-2000x500-seed1": "fbd6b1648e341fab",
     "sweep-consistent-400x100-seed1": "572ac565ce01da5b",
 }
@@ -79,8 +86,9 @@ HASWELL = {
     "gaussian-40x10-seed1": "35b320c06f7635cc",
     "gaussian-60x15-seed1": "9386cbc36d192a34",
     "gaussian-40x20-seed42": "cbda73a817ad6b26",
-    "tomo-8-a12-d12-seed1": "c274560ded6ca910",
-    "tomo-16-a24-d24-seed1": "d44253c8b51a332d",
+    "tomo-8-a12-d12-seed1": "dd524837dd228172",
+    "tomo-16-a24-d24-seed1": "dfc89b91b0586cee",
+    "consistent-40x10-seed1": "b83691ee208c73d3",
     "dense-greedy-2000x500-seed1": "842c744d0a97744c",
     "sweep-consistent-400x100-seed1": "572ac565ce01da5b",
 }
@@ -110,6 +118,11 @@ def test_b_is_unchanged_and_x_star_solves_least_squares(name):
     normal = np.linalg.norm(p.A.rmatvec(p.b - p.A.matvec(p.x_star)))
     assert normal <= 1e-15 * build_norm_cache(p.A).frob_sq * x_norm
     assert np.array_equal(p.r, p.b - p.A.matvec(p.x_star))
+    if p.meta["generator"] == "gen_gaussian":
+        # A consistent b is A x for the Gaussian draw x, which is x_star: r is zero, bit for bit.
+        draw = rng.stream(p.meta["seed"], rng.method_tag("gen_consistent_b"))
+        assert np.array_equal(p.x_star, draw.standard_normal(p.A.cols))
+        assert not p.r.any()
     # b = A x + noise passes through the kernels, so its bits are pinned per BLAS.
     assert b_digest(p) == pinned(GOLDEN)[name]
 
