@@ -276,6 +276,8 @@ def _cmd_bench(args):
     kinds = [_parse_kind(name.strip()) for name in args.methods]
     _once("method", [kind.value for kind in kinds])
     _at_least_one("trials", args.trials)
+    if args.summary_out and os.path.realpath(args.summary_out) == os.path.realpath(args.out):
+        raise ValueError("--out and --summary-out name the same file")
     config = _stop_config(args)
     if args.jobs != 1:
         print("warning: --jobs ignored; bench runs cells in order", file=sys.stderr)

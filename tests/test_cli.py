@@ -131,6 +131,27 @@ def test_bench_output_that_cannot_be_opened_stops_before_any_solve(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["prob"]
 
 
+@pytest.mark.parametrize("given", ["same", "relative", "config"])
+def test_bench_one_path_for_both_outputs_is_usage_error(capsys, tmp_path, monkeypatch, given):
+    path = gen_bundle(capsys, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out_csv = str(tmp_path / "same.csv")
+    flags = ["--summary-out", "same.csv" if given == "relative" else out_csv]
+    if given == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"summary_out": out_csv}))
+        flags = ["--config", "cfg.json"]
+    calls = counted_solves(monkeypatch)
+    code, out, err = run(
+        capsys,
+        "bench", "--methods", "REK", "--problems", path, "--trials", "2", "--out", out_csv, *flags,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: --out and --summary-out name the same file\n"
+    assert calls == []
+    assert not (tmp_path / "same.csv").exists()
+
+
 def test_solve_max_iters_zero(capsys, tmp_path):
     path = gen_bundle(capsys, tmp_path)
     hist = str(tmp_path / "hist.csv")
