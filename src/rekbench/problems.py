@@ -3,9 +3,9 @@
 Generators mirror a standard experimental protocol: Gaussian matrices,
 right-hand sides b = A x + r planted by one recipe (_planted_problem, r a
 draw projected off the range of A once), and a simplified parallel-beam
-tomography operator over the Shepp-Logan phantom.  Matrix Market files are the on-disk
-matrix format; problem bundles are directories of .mtx + flat vectors +
-JSON metadata.
+tomography operator over the Shepp-Logan phantom.  Matrix Market files are
+the on-disk matrix format; problem bundles are directories of .mtx + flat
+vectors + JSON metadata.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def _off_range(A, v):
 
 
 def _planted(A, b, x, rank):
-    """x if A has full column rank and x solves the normal equations to PLANTED_TOL, else None."""
+    """Whether A has full column rank and x solves the normal equations to PLANTED_TOL."""
     tol = PLANTED_TOL * np.finfo(np.float64).eps * build_norm_cache(A).frob_sq * np.linalg.norm(x)
-    return x if rank == A.cols and np.linalg.norm(A.rmatvec(b - A.matvec(x))) <= tol else None
+    return rank == A.cols and np.linalg.norm(A.rmatvec(b - A.matvec(x))) <= tol
 
 
 def _planted_problem(A, x, w, label, meta):
@@ -117,9 +117,7 @@ def _planted_problem(A, x, w, label, meta):
     """
     r, rank = _off_range(A, w)
     b = A.matvec(x) + r
-    x_star = _planted(A, b, x, rank)
-    if x_star is None:
-        x_star = direct_least_squares(A, b)
+    x_star = x if _planted(A, b, x, rank) else direct_least_squares(A, b)
     return LsProblem(A=A, b=b, x_star=x_star, r=b - A.matvec(x_star), label=label, meta=meta)
 
 

@@ -30,24 +30,25 @@ def literal(value):
 
 def tables():
     """(module, {case: value}) of each golden table, its cases in the module's order."""
-    trajectories = test_trajectories
-    yield trajectories, {
-        (name, kind.value): trajectories.run_case(name, kind)
-        for name in trajectories.PROBLEMS
+    yield test_trajectories, {
+        (name, kind.value): test_trajectories.run_case(name, kind)
+        for name in test_trajectories.PROBLEMS
         for kind in SolverKind
     }
-    theory = test_theory_golden
-    yield theory, {
-        (bundle, command): theory.theory_output(bundle, command)
-        for command in theory.COMMANDS
-        for bundle in theory.BUNDLES
+    yield test_theory_golden, {
+        (bundle, command): test_theory_golden.theory_output(bundle, command)
+        for command in test_theory_golden.COMMANDS
+        for bundle in test_theory_golden.BUNDLES
     }
-    truth = test_ground_truth
-    yield truth, {name: truth.b_digest(make()) for name, make in truth.PLANTED.items()}
-    bundles = test_bundle_golden
-    digests = {bundle: bundles.bundle_digests(bundle) for bundle in bundles.BUNDLES}
-    yield bundles, {
-        (bundle, name): digests[bundle][name] for bundle in bundles.BUNDLES for name in bundles.NUMERIC
+    yield test_ground_truth, {
+        name: test_ground_truth.b_digest(make()) for name, make in test_ground_truth.PLANTED.items()
+    }
+    numeric = test_bundle_golden.NUMERIC
+    yield test_bundle_golden, {
+        (bundle, name): digest
+        for bundle in test_bundle_golden.BUNDLES
+        for name, digest in test_bundle_golden.bundle_digests(bundle).items()
+        if name in numeric
     }
 
 
