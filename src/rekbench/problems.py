@@ -2,7 +2,8 @@
 
 Generators mirror a standard experimental protocol: Gaussian matrices,
 right-hand sides b = A x + r planted by one recipe (_planted_problem, r a
-draw projected off the range of A once), and a simplified parallel-beam
+draw projected off the range of A once: through A^T A where A is tall and
+well conditioned, else by the SVD), and a simplified parallel-beam
 tomography operator over the Shepp-Logan phantom.  Matrix Market files are
 the on-disk matrix format; problem bundles are directories of .mtx + flat
 vectors + JSON metadata.
@@ -22,9 +23,21 @@ from itertools import chain, islice
 import numpy as np
 
 from . import rng as rngmod
-from .linalg import DenseMatrix, DualSparseMatrix, _lstsq, build_norm_cache, direct_least_squares
+from .linalg import (
+    DenseMatrix,
+    DualSparseMatrix,
+    _dense_values,
+    _gram_spectrum,
+    _lstsq,
+    build_norm_cache,
+    direct_least_squares,
+)
 
 PLANTED_TOL = 16  # C of _planted's test ||A^T (b - A x)|| <= C eps ||A||_F^2 ||x||
+# tau of _off_range's test lambda_min >= tau lambda_max on A^T A: above the
+# m n eps = 2.2e-9 relative rounding of A^T A and its eigenvalues at the
+# oracle cap, so an A that passes has full rank by the SVD's rcond test too.
+GRAM_TOL = 1e-8
 
 
 @dataclass
@@ -98,15 +111,31 @@ def project_off_range(A, v):
 
 
 def _off_range(A, v):
-    """(project_off_range(A, v), the numerical rank of A)."""
+    """(project_off_range(A, v), whether A has full column rank).
+
+    A tall A with lambda_min >= GRAM_TOL lambda_max in the spectrum of
+    G = A^T A is projected by the corrected semi-normal equations (Bjorck,
+    Linear Algebra Appl. 88/89, 1987): c = G^-1 A^T v, then one refinement
+    step c += G^-1 A^T (v - A c).  Every other A (wide, rank deficient or
+    ill-conditioned) takes the SVD, where a zero v on a wide A, which cannot
+    have full column rank, is its own projection.
+    """
+    if A.rows >= A.cols:
+        gram, evals = _gram_spectrum(_dense_values(A))
+        if evals[0] >= GRAM_TOL * evals[-1] > 0:
+            coef = np.linalg.solve(gram, A.rmatvec(v))
+            coef += np.linalg.solve(gram, A.rmatvec(v - A.matvec(coef)))
+            return v - A.matvec(coef), True
+    elif not v.any():
+        return v, False
     coef, rank = _lstsq(A, v)
-    return v - A.matvec(coef), rank
+    return v - A.matvec(coef), rank == A.cols
 
 
-def _planted(A, b, x, rank):
+def _planted(A, b, x, full_rank):
     """Whether A has full column rank and x solves the normal equations to PLANTED_TOL."""
     tol = PLANTED_TOL * np.finfo(np.float64).eps * build_norm_cache(A).frob_sq * np.linalg.norm(x)
-    return rank == A.cols and np.linalg.norm(A.rmatvec(b - A.matvec(x))) <= tol
+    return full_rank and np.linalg.norm(A.rmatvec(b - A.matvec(x))) <= tol
 
 
 def _planted_problem(A, x, w, label, meta):
@@ -115,9 +144,9 @@ def _planted_problem(A, x, w, label, meta):
     x_star is x where _planted admits it, else the oracle A^+ b; r is stored
     as b - A x_star.  Every generator builds its problem here.
     """
-    r, rank = _off_range(A, w)
+    r, full_rank = _off_range(A, w)
     b = A.matvec(x) + r
-    x_star = x if _planted(A, b, x, rank) else direct_least_squares(A, b)
+    x_star = x if _planted(A, b, x, full_rank) else direct_least_squares(A, b)
     return LsProblem(A=A, b=b, x_star=x_star, r=b - A.matvec(x_star), label=label, meta=meta)
 
 

@@ -12,6 +12,9 @@ When every generator began to project its residual draw off range(A) once,
 the wide b.txt, r.txt and x_star.txt and the tomo b.txt and r.txt were
 recorded again (their b moved in its last bits), and so were the
 consistent r.txt and x_star.txt, which now hold the planted x and r = 0.
+The inconsistent and tomo b.txt and r.txt were recorded again when a tall
+full-rank A began to project its draw through A^T A, not the SVD (b moved
+in its last bits; every x_star.txt kept its bytes).
 The NUMERIC files are pinned in one GOLDEN table per BLAS key
 (tests/conftest.py).
 """
@@ -67,14 +70,14 @@ SKYLAKEX = {
     ("consistent", "b.txt"): "bc5d563416acb06c",
     ("consistent", "r.txt"): "7587b4e86fbac57e",
     ("consistent", "x_star.txt"): "290409b676147446",
-    ("inconsistent", "b.txt"): "58daf9580bc6a1e3",
-    ("inconsistent", "r.txt"): "a65c6abbce1ca162",
+    ("inconsistent", "b.txt"): "33e9b7aabfc50b14",
+    ("inconsistent", "r.txt"): "d91e86c10d5a1576",
     ("inconsistent", "x_star.txt"): "6ed782398fae300d",
     ("wide", "b.txt"): "e331aa1a43e14564",
     ("wide", "r.txt"): "6684f9a49644c554",
     ("wide", "x_star.txt"): "6467ebe242f642c3",
-    ("tomo", "b.txt"): "0d75c3f8c2500cd9",
-    ("tomo", "r.txt"): "4ac821ef1582b8df",
+    ("tomo", "b.txt"): "034c0afd08b48fa2",
+    ("tomo", "r.txt"): "48ffe916453544d4",
     ("tomo", "x_star.txt"): "d596bf94fc317b20",
 }
 
@@ -83,14 +86,14 @@ HASWELL = {
     ("consistent", "b.txt"): "bc5d563416acb06c",
     ("consistent", "r.txt"): "7587b4e86fbac57e",
     ("consistent", "x_star.txt"): "290409b676147446",
-    ("inconsistent", "b.txt"): "9f06684096c51c7b",
-    ("inconsistent", "r.txt"): "eba9abeb4bb0a67e",
+    ("inconsistent", "b.txt"): "f18e1b878192ba5a",
+    ("inconsistent", "r.txt"): "3398c4901ed1d15c",
     ("inconsistent", "x_star.txt"): "6ed782398fae300d",
     ("wide", "b.txt"): "33c46dc2e01bdfd4",
     ("wide", "r.txt"): "13d13616399606d2",
     ("wide", "x_star.txt"): "b59b331439c417b6",
-    ("tomo", "b.txt"): "3ba28df5f7872a57",
-    ("tomo", "r.txt"): "61d1946c57e955f3",
+    ("tomo", "b.txt"): "a483555166b9ff69",
+    ("tomo", "r.txt"): "99c232fdf1b2923d",
     ("tomo", "x_star.txt"): "d596bf94fc317b20",
 }
 

@@ -6,7 +6,9 @@ values, the digests of x and z after PICKS step calls and after solve, so a
 change to the step arithmetic that keeps the picks but moves a rounding
 shows here.  Both read the same cached run_case, so each case runs once.
 The wide and tomo digests were recorded again with the rest of their rows,
-when every generator began to project its residual draw off range(A) once.
+when every generator began to project its residual draw off range(A) once,
+and the tall and tomo digests when a tall full-rank A began to project it
+through A^T A, not the SVD.
 """
 
 import pytest

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_ground_truth import ORACLE
 
 from rekbench.linalg import DenseMatrix, build_norm_cache
 from rekbench.problems import (
@@ -99,6 +100,68 @@ def test_range_split_pythagoras():
     b_perp = project_off_range(A, b)
     lhs = np.sum((b - b_perp) ** 2) + np.sum(b_perp**2)
     assert lhs == pytest.approx(np.sum(b**2), rel=1e-10)
+
+
+def _spy(monkeypatch, name):
+    """The list of argument tuples of each call to np.linalg.<name> from here on."""
+    calls, func = [], getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a, **kw: calls.append(a) or func(*a, **kw))
+    return calls
+
+
+def _column_scaled(m, n, seed, kappa):
+    """A Gaussian m x n matrix whose columns are scaled from 1 down to 1/kappa."""
+    return DenseMatrix(gen_gaussian(m, n, seed).values * np.logspace(0, -np.log10(kappa), n))
+
+
+def _zero_column():
+    values = gen_gaussian(40, 10, 7).values
+    values[:, 4] = 0.0
+    return DenseMatrix(values)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_gaussian(60, 15, 1),
+        lambda: gen_gaussian(300, 80, 2),
+        lambda: _column_scaled(60, 15, 3, 1e3),
+        lambda: _column_scaled(300, 80, 4, 1e3),
+        lambda: parallel_beam_matrix(8, 12, 12),
+        lambda: parallel_beam_matrix(16, 24, 24),
+    ],
+    ids=["gaussian-60x15", "gaussian-300x80", "kappa-1e3-60x15", "kappa-1e3-300x80", "tomo-8", "tomo-16"],
+)
+def test_tall_full_rank_projection_takes_the_gram_path(monkeypatch, make):
+    # The corrected semi-normal equations agree with the SVD projection and
+    # leave r orthogonal to range(A) to working precision.
+    A = make()
+    w = np.random.Generator(np.random.Philox(5)).standard_normal(A.rows)
+    svd = w - A.matvec(np.linalg.lstsq(A.to_dense(), w, rcond=None)[0])
+    solves = _spy(monkeypatch, "lstsq")
+    r = project_off_range(A, w)
+    assert not solves
+    assert np.linalg.norm(r - svd) <= 1e-12 * np.linalg.norm(w)
+    frob = np.sqrt(build_norm_cache(A).frob_sq)
+    assert np.linalg.norm(A.rmatvec(r)) <= 1e-14 * frob * np.linalg.norm(r)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        *(lambda make=make: make().A for make in ORACLE.values()),
+        _zero_column,
+        lambda: DenseMatrix(np.zeros((6, 3))),
+    ],
+    ids=[*ORACLE, "zero-column-40x10", "zero-6x3"],
+)
+def test_projection_takes_the_svd_where_the_gram_test_fails(monkeypatch, make):
+    A = make()
+    w = np.random.Generator(np.random.Philox(5)).standard_normal(A.rows)
+    solves = _spy(monkeypatch, "lstsq")
+    r = project_off_range(A, w)
+    assert len(solves) == 1
+    assert np.array_equal(r, w - A.matvec(np.linalg.lstsq(A.to_dense(), w, rcond=None)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +312,23 @@ def test_gen_parallel_beam_invariants():
 
 
 @pytest.mark.parametrize(
-    "make, solves",
+    "make, solves, eigs",
     [
-        (lambda: make_inconsistent_problem(gen_gaussian(40, 10, 1), 1), 1),
-        (lambda: gen_parallel_beam(8, 12, 12, 1), 1),
-        (lambda: make_inconsistent_problem(gen_gaussian(15, 40, 3), 3), 2),
-        (lambda: make_consistent_problem(gen_gaussian(40, 10, 1), 1), 1),
+        (lambda: make_inconsistent_problem(gen_gaussian(40, 10, 1), 1), 0, 1),
+        (lambda: gen_parallel_beam(8, 12, 12, 1), 0, 1),
+        (lambda: make_inconsistent_problem(gen_gaussian(15, 40, 3), 3), 2, 0),
+        (lambda: make_consistent_problem(gen_gaussian(40, 10, 1), 1), 0, 1),
+        (lambda: make_consistent_problem(gen_gaussian(50, 80, 1), 1), 1, 0),
     ],
-    ids=["tall-inconsistent", "tomo", "wide-inconsistent", "consistent"],
+    ids=["tall-inconsistent", "tomo", "wide-inconsistent", "consistent", "wide-consistent"],
 )
-def test_dense_solves_per_generator(monkeypatch, make, solves):
-    # Every generator projects its draw off range(A) once; a tall problem
-    # takes its planted x as x_star and skips the oracle solve on b.
-    calls, lstsq = [], np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: calls.append(a) or lstsq(*a, **kw))
+def test_dense_solves_per_generator(monkeypatch, make, solves, eigs):
+    # A tall full-rank A projects its draw through A^T A (one eigvalsh for
+    # its rank) and keeps its planted x; a wide one projects by one SVD, and
+    # not at all for a zero draw, then takes x_star from the oracle.
+    svd_calls, eig_calls = _spy(monkeypatch, "lstsq"), _spy(monkeypatch, "eigvalsh")
     make()
-    assert len(calls) == solves
+    assert (len(svd_calls), len(eig_calls)) == (solves, eigs)
 
 
 def test_bundle_round_trip(tmp_path):
