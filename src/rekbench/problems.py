@@ -27,7 +27,6 @@ from .linalg import (
     DenseMatrix,
     DualSparseMatrix,
     _dense_values,
-    _gram_spectrum,
     _lstsq,
     build_norm_cache,
     direct_least_squares,
@@ -57,6 +56,8 @@ class LsProblem:
 
     def __post_init__(self):
         m, n = self.A.shape
+        if m < 1 or n < 1:
+            raise ValueError(f"A has shape {(m, n)}, expected at least one row and one column")
         self.b = _checked_vector(self.b, "b", m)
         if self.x_star is not None:
             self.x_star = _checked_vector(self.x_star, "x_star", n)
@@ -121,8 +122,12 @@ def _off_range(A, v):
     have full column rank, is its own projection.
     """
     if A.rows >= A.cols:
-        gram, evals = _gram_spectrum(_dense_values(A))
-        if evals[0] >= GRAM_TOL * evals[-1] > 0:
+        dense = _dense_values(A)
+        gram = dense.T @ dense
+        # lambda_min <= min diag(G) and lambda_max >= max diag(G), so a
+        # diagonal that fails the test (a zero or tiny column) fails it on the
+        # spectrum too, and skips the eigvalsh.
+        if _within_gram_tol(gram.diagonal()) and _within_gram_tol(np.linalg.eigvalsh(gram)):
             coef = np.linalg.solve(gram, A.rmatvec(v))
             coef += np.linalg.solve(gram, A.rmatvec(v - A.matvec(coef)))
             return v - A.matvec(coef), True
@@ -130,6 +135,11 @@ def _off_range(A, v):
         return v, False
     coef, rank = _lstsq(A, v)
     return v - A.matvec(coef), rank == A.cols
+
+
+def _within_gram_tol(values):
+    """Whether min(values) >= GRAM_TOL max(values) > 0."""
+    return values.min() >= GRAM_TOL * values.max() > 0
 
 
 def _planted(A, b, x, full_rank):

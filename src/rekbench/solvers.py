@@ -113,10 +113,15 @@ class StopConfig:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
-        if self.check_every is not None and self.check_every < 1:
-            raise ValueError(f"check_every must be at least 1, got {self.check_every}")
-        if self.max_iters is not None and self.max_iters < 0:
-            raise ValueError(f"max_iters must be at least 0, got {self.max_iters}")
+        for name, least in (("check_every", 1), ("max_iters", 0)):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            # A float cap is never met exactly, so solve would never stop.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 class AxisCache:
@@ -209,8 +214,8 @@ class SolverState:
 
 @dataclass
 class RunRecord:
-    kind: SolverKind
-    seed: int
+    x: np.ndarray | None  # the final iterates; None without row steps
+    z: np.ndarray | None  # None without column steps
     iters: int
     wall_time: float  # seconds of time.perf_counter
     cpu_time: float  # seconds of time.process_time over the same span
@@ -348,7 +353,6 @@ def step(state, problem, caches, config):
         if idx is not None:
             _axis_step(state, problem, caches, ax, idx)
     state.k += 1
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +395,7 @@ def _check(state, problem):
 
 
 def solve(kind, problem, config=None, seed=0):
-    """Run the named method to convergence or the iteration cap.
+    """Run the named method to convergence or the iteration cap; the record holds its final x and z.
 
     It checks every check_every steps and at the cap, so at 0 steps under a cap of 0.
     """
@@ -412,4 +416,4 @@ def solve(kind, problem, config=None, seed=0):
                 break
         step(state, problem, caches, config)
     wall, cpu = time.perf_counter() - t0, time.process_time() - cpu0
-    return RunRecord(kind, seed, state.k, wall, cpu, done, history)
+    return RunRecord(state.x, state.z, state.k, wall, cpu, done, history)

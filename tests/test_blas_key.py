@@ -18,7 +18,7 @@ import test_bundle_golden
 import test_ground_truth
 import test_theory_golden
 import test_trajectories
-from conftest import openblas_core, openblas_libraries
+from conftest import openblas_core, openblas_functions, openblas_libraries, openblas_threads
 
 TESTS = Path(__file__).resolve().parent
 
@@ -61,6 +61,15 @@ def test_reader_says_unknown_without_the_symbol():
         pytest.skip("no C library to load")
     assert openblas_core([libc]) == "unknown"
     assert openblas_core([]) == "unknown"
+    assert openblas_threads([libc]) is None
+
+
+def test_tests_compute_on_one_blas_thread():
+    # conftest sets it before any test runs: the benchmark's setting, under
+    # which the golden b of its inputs were recorded.
+    if not openblas_functions("scipy_openblas_set_num_threads64_"):
+        pytest.skip("numpy's OpenBLAS exports no thread-count setter")
+    assert openblas_threads() == 1
 
 
 @pytest.mark.parametrize(

@@ -198,6 +198,12 @@ def test_row_and_column_dots_are_entries_of_the_products(sparse):
     assert A.row_dots([], x).shape == (0,) and A.col_dots([], z).shape == (0,)
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+def test_dense_matrix_needs_a_row_and_a_column(shape):
+    with pytest.raises(ValueError, match="requires a row and a column"):
+        DenseMatrix(np.zeros(shape))
+
+
 def test_sparse_duplicate_entry_rejected():
     with pytest.raises(ValueError):
         DualSparseMatrix(2, 2, [0, 0], [1, 1], [1.0, 2.0])

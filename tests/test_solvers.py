@@ -119,7 +119,7 @@ def test_solve_forms_fresh_residuals_once_per_check(monkeypatch, known_solution)
     def uncounted_step(*args):
         A.counting = False
         try:
-            return original_step(*args)
+            original_step(*args)
         finally:
             A.counting = True
 
@@ -461,27 +461,25 @@ ON_DEMAND = [
 def _poisoned_solve(monkeypatch, kind, problem, config, poison):
     """solve(), with every unkept residual set to NaN before each step when poison is set."""
     original_step = solvers.step
-    states = []
 
     def poisoning_step(state, *args):
-        states.append(state)
         for name, keeps in zip(("r", "s"), poison):
             if getattr(state, name) is not None and not keeps:
                 setattr(state, name, np.full_like(getattr(state, name), np.nan))
-        return original_step(state, *args)
+        original_step(state, *args)
 
     monkeypatch.setattr(solvers, "step", poisoning_step)
     rec = solve(kind, problem, config, seed=4)
     monkeypatch.setattr(solvers, "step", original_step)
-    return rec, states[-1]
+    return rec
 
 
 @pytest.mark.parametrize("kind, shape", ON_DEMAND)
 def test_unkept_residuals_are_never_read_between_checks(monkeypatch, kind, shape):
     problem = make_inconsistent_problem(_upkeep_matrix(shape), 18)
     config = StopConfig(tol=1e-8, check_every=7, max_iters=700, fraction=0.25)
-    plain, plain_state = _poisoned_solve(monkeypatch, kind, problem, config, (True, True))
-    rec, state = _poisoned_solve(monkeypatch, kind, problem, config, _keeps(kind, shape))
+    plain = _poisoned_solve(monkeypatch, kind, problem, config, (True, True))
+    rec = _poisoned_solve(monkeypatch, kind, problem, config, _keeps(kind, shape))
     assert rec.iters == plain.iters and rec.iters > config.check_every
     assert rec.converged == plain.converged
     # Each check refreshes r and g, so the final residuals are fresh too.
@@ -490,7 +488,19 @@ def test_unkept_residuals_are_never_read_between_checks(monkeypatch, kind, shape
         plain.final_dual_residual,
     )
     for name in ("x", "z"):
-        assert np.array_equal(getattr(state, name), getattr(plain_state, name))
+        assert np.array_equal(getattr(rec, name), getattr(plain, name))
+
+
+@pytest.mark.parametrize("kind", [SolverKind.REK, SolverKind.RK, SolverKind.GPROJ])
+def test_solve_returns_the_iterates_of_its_last_check(kind):
+    problem = make_inconsistent_problem(gen_gaussian(40, 10, 3), 3)
+    rec = solve(kind, problem, StopConfig(check_every=10, max_iters=200), seed=0)
+    assert (rec.x is not None, rec.z is not None) == (METHODS[kind].rows, METHODS[kind].cols)
+    # The last history row was taken from these very iterates.
+    if rec.x is not None:
+        assert rse(rec.x, problem.x_star) == rec.final_rse
+    if rec.z is not None:
+        assert float(np.linalg.norm(problem.A.rmatvec(rec.z))) == rec.final_dual_residual
 
 
 @pytest.mark.parametrize("kind", [SolverKind.REK, SolverKind.RK, SolverKind.TSREKS])
@@ -606,6 +616,12 @@ def test_sampled_pair_kinds_take_1d_steps_on_a_one_line_axis(kind, shape):
         {"check_every": 0},
         {"check_every": -1},
         {"max_iters": -1},
+        # solve stops at k == max_iters, which a fractional cap never meets.
+        {"max_iters": 2.5},
+        {"max_iters": 10.0},
+        {"max_iters": True},
+        {"check_every": 2.5},
+        {"check_every": True},
     ],
 )
 def test_stop_config_rejects_out_of_range(settings):
@@ -622,6 +638,7 @@ def test_stop_config_rejects_a_bad_tol(tol):
 def test_stop_config_accepts_the_edges():
     config = StopConfig(fraction=1.0, check_every=1, max_iters=0)
     assert (config.fraction, config.check_every, config.max_iters) == (1.0, 1, 0)
+    assert StopConfig(check_every=np.int64(3), max_iters=np.int64(6)).max_iters == 6
 
 
 def _pair_counts(kind, problem, axis, draws, seed, config=None):
