@@ -9,8 +9,9 @@ Dense matrices wrap a contiguous row-major 2-D array, so their access is
 not symmetric: a row is a contiguous view and a column a strided one (on
 2000 x 500, scaling a column takes about 8 us, a row about 1.5 us).  The
 module also hosts the norm cache and the desk-scale dense oracles used for
-ground truth: direct least squares (an SVD) and the eigenvalues of A^T A,
-which give the theory constants their eigenvalue extremes.  Their memory is
+ground truth: direct least squares (an SVD) and the Gram spectrum, A^T A
+with its eigenvalues, which gives the theory constants their eigenvalue
+extremes and the generators their full-column-rank test.  Their memory is
 bounded by what they return: the norm cache squares a dense A about 64 KB
 at a time, and the oracles read a dense A's own array, so LAPACK's working
 copy is the only one.
@@ -334,9 +335,15 @@ def gram_extreme_eigenvalues(A):
     return _gram_extremes(_dense_values(A))
 
 
+def _gram_spectrum(dense):
+    """(A^T A, its eigenvalues in ascending order) of the matrix whose entries are dense."""
+    gram = dense.T @ dense
+    return gram, np.linalg.eigvalsh(gram)
+
+
 def _gram_extremes(dense):
     """gram_extreme_eigenvalues of the matrix whose entries are the 2-D array dense."""
-    evals = np.clip(np.linalg.eigvalsh(dense.T @ dense), 0.0, None)
+    evals = np.clip(_gram_spectrum(dense)[1], 0.0, None)
     lam_max = float(evals[-1])
     if lam_max == 0.0:
         return 0.0, 0.0

@@ -27,6 +27,7 @@ from .linalg import (
     DenseMatrix,
     DualSparseMatrix,
     _dense_values,
+    _gram_spectrum,
     _lstsq,
     build_norm_cache,
     direct_least_squares,
@@ -122,12 +123,8 @@ def _off_range(A, v):
     have full column rank, is its own projection.
     """
     if A.rows >= A.cols:
-        dense = _dense_values(A)
-        gram = dense.T @ dense
-        # lambda_min <= min diag(G) and lambda_max >= max diag(G), so a
-        # diagonal that fails the test (a zero or tiny column) fails it on the
-        # spectrum too, and skips the eigvalsh.
-        if _within_gram_tol(gram.diagonal()) and _within_gram_tol(np.linalg.eigvalsh(gram)):
+        gram, evals = _gram_spectrum(_dense_values(A))
+        if evals[0] >= GRAM_TOL * evals[-1] > 0:
             coef = np.linalg.solve(gram, A.rmatvec(v))
             coef += np.linalg.solve(gram, A.rmatvec(v - A.matvec(coef)))
             return v - A.matvec(coef), True
@@ -135,11 +132,6 @@ def _off_range(A, v):
         return v, False
     coef, rank = _lstsq(A, v)
     return v - A.matvec(coef), rank == A.cols
-
-
-def _within_gram_tol(values):
-    """Whether min(values) >= GRAM_TOL max(values) > 0."""
-    return values.min() >= GRAM_TOL * values.max() > 0
 
 
 def _planted(A, b, x, full_rank):

@@ -117,7 +117,8 @@ class StopConfig:
             value = getattr(self, name)
             if value is None:
                 continue
-            # A float cap is never met exactly, so solve would never stop.
+            # A fractional cap is never met, so solve would never stop;
+            # floats are refused outright, 10.0 too.
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < least:
